@@ -1,7 +1,8 @@
 """Scenario front end: run declarative configs, emit JSON reports and CSV curves.
 
 Exit status encodes the verdict class: 0 when a witness sequence or tail was
-found, 2 for a no-witness/no-tail verdict, 1 for config or validation errors.
+found, 2 for a no-witness/no-tail verdict, 1 for config or validation errors,
+and 3 when a witness was found but its certification failed.
 Re-running the same config produces byte-identical outputs (no timestamps,
 sorted keys, shortest-roundtrip floats).
 """
@@ -35,6 +36,7 @@ from .witness import verify_report
 EXIT_FOUND = 0
 EXIT_ERROR = 1
 EXIT_NO_WITNESS = 2
+EXIT_CERT_FAILED = 3
 
 
 def _fmt(x) -> str:
@@ -101,27 +103,31 @@ def run_scenario(
     ``<name>.curves.csv`` there.
     """
     system = cfg.build()
+    horizon = cfg.horizon if horizon is None else horizon
+    tol = cfg.tol if tol is None else tol
     if cfg.mode == "transitive":
-        report = check_transitivity(
-            system, cfg.K, horizon or cfg.horizon, tol or cfg.tol
-        )
+        report = check_transitivity(system, cfg.K, horizon, tol)
     elif cfg.mode == "disjoint":
-        report = check_disjoint_transitivity(
-            system, cfg.K, horizon or cfg.horizon, tol or cfg.tol
-        )
+        report = check_disjoint_transitivity(system, cfg.K, horizon, tol)
     else:
-        report = check_semi_transitivity(system, cfg.K, epsilon or cfg.epsilon)
+        epsilon = cfg.epsilon if epsilon is None else epsilon
+        report = check_semi_transitivity(system, cfg.K, epsilon)
 
     certification = None
     if cfg.mode in ("transitive", "disjoint") and report.verdict == WITNESS_FOUND:
         certification = verify_report(system, report).to_dict()
 
-    found = report.verdict in (WITNESS_FOUND, TAIL_FOUND)
+    if report.verdict not in (WITNESS_FOUND, TAIL_FOUND):
+        status = EXIT_NO_WITNESS
+    elif certification is not None and not certification["ok"]:
+        status = EXIT_CERT_FAILED
+    else:
+        status = EXIT_FOUND
     doc = {
         "name": cfg.name,
         "mode": cfg.mode,
         "verdict": report.verdict,
-        "exit_status": EXIT_FOUND if found else EXIT_NO_WITNESS,
+        "exit_status": status,
         "config": cfg.raw,
         "report": report.to_dict(),
         "witness_certification": certification,
@@ -134,7 +140,7 @@ def run_scenario(
             json.dumps(doc, indent=2, sort_keys=True) + "\n"
         )
         emit_curves(report, out / f"{cfg.name}.curves.csv")
-    return doc, report, doc["exit_status"]
+    return doc, report, status
 
 
 def bundled_names() -> list:

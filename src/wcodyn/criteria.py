@@ -18,7 +18,7 @@ module), while "no witness up to the horizon" is evidence, not proof.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Optional
 
 import numpy as np
@@ -253,9 +253,16 @@ class CriterionProbe:
         return d
 
 
+_SEMIDECISION_NOTE = (
+    "WitnessFound is certifiable by witness construction; "
+    "NoWitnessUpToHorizon is evidence up to the horizon, not proof."
+)
+
+
 @dataclass
-class CriterionReport:
-    """Verdict for one operator, with the accepted stage curve."""
+class _ScanReport:
+    """Fields and serialisation shared by the reports of the scanner; each
+    subclass adds its bound field, then ``params``."""
 
     verdict: str
     m_K: float
@@ -264,32 +271,29 @@ class CriterionReport:
     tol: float
     stages: list
     probes: list
-    aperiodicity_N: Optional[int]
-    params: dict = field(default_factory=dict)
 
     @property
     def n_sequence(self) -> list:
         return [st.n for st in self.stages]
 
-    def last_stage(self) -> Optional[CriterionStage]:
+    def last_stage(self):
         return self.stages[-1] if self.stages else None
 
     def to_dict(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "m_K": self.m_K,
-            "K": [list(p) for p in self.K],
-            "horizon": self.horizon,
-            "tol": self.tol,
-            "stages": [st.to_dict() for st in self.stages],
-            "probes": [pr.to_dict() for pr in self.probes],
-            "aperiodicity_N": self.aperiodicity_N,
-            "params": self.params,
-            "semidecision_note": (
-                "WitnessFound is certifiable by witness construction; "
-                "NoWitnessUpToHorizon is evidence up to the horizon, not proof."
-            ),
-        }
+        d = {f.name: getattr(self, f.name) for f in fields(self)}
+        d["K"] = [list(p) for p in self.K]
+        d["stages"] = [st.to_dict() for st in self.stages]
+        d["probes"] = [pr.to_dict() for pr in self.probes]
+        d["semidecision_note"] = _SEMIDECISION_NOTE
+        return d
+
+
+@dataclass
+class CriterionReport(_ScanReport):
+    """Verdict for one operator, with the accepted stage curve."""
+
+    aperiodicity_N: Optional[int]
+    params: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -319,40 +323,12 @@ class DisjointStage:
 
 
 @dataclass
-class DisjointReport:
-    verdict: str
-    m_K: float
-    K: tuple
-    horizon: int
-    tol: float
-    stages: list
-    probes: list
+class DisjointReport(_ScanReport):
+    """Verdict for several operator powers at once, with the accepted stage
+    curve; candidates start at the separation bound."""
+
     separation_bound: int
     params: dict = field(default_factory=dict)
-
-    @property
-    def n_sequence(self) -> list:
-        return [st.n for st in self.stages]
-
-    def last_stage(self) -> Optional[DisjointStage]:
-        return self.stages[-1] if self.stages else None
-
-    def to_dict(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "m_K": self.m_K,
-            "K": [list(p) for p in self.K],
-            "horizon": self.horizon,
-            "tol": self.tol,
-            "stages": [st.to_dict() for st in self.stages],
-            "probes": [pr.to_dict() for pr in self.probes],
-            "separation_bound": self.separation_bound,
-            "params": self.params,
-            "semidecision_note": (
-                "WitnessFound is certifiable by witness construction; "
-                "NoWitnessUpToHorizon is evidence up to the horizon, not proof."
-            ),
-        }
 
 
 @dataclass
@@ -466,31 +442,50 @@ def _check_args(K: Region, horizon: int, tol: float):
         raise CriterionError("tol must lie in (0, 1)")
 
 
-def check_transitivity(
-    scenario: Scenario, K: Region, horizon: int, tol: float
-) -> CriterionReport:
-    """Search for the witness sequence certifying transitivity over ``K``.
+def _as_system(obj) -> tuple:
+    """Normalize a Scenario or DisjointSystem to ``(norm, eta, ops, powers)``;
+    a single operator is the system of one operator at power 1."""
+    if isinstance(obj, Scenario):
+        return obj.norm, obj.eta, (obj.operator,), (1,)
+    if isinstance(obj, DisjointSystem):
+        return obj.norm, obj.eta, obj.operators, obj.powers
+    raise CriterionError(f"expected Scenario or DisjointSystem, got {type(obj).__name__}")
 
-    Scans ``n = 1..horizon``.  At stage ``k`` a candidate ``n`` is accepted
-    as ``n_k`` when the admissible set ``E`` obtained by discarding points
-    whose forward or backward quantity exceeds ``m_K / 2^k`` leaves an
-    indicator residual ``||chi_{K\\E}||_F <= 4 / 2^k``.  The verdict becomes
-    ``WitnessFound`` once the actual sup terms and the residual at a stage
-    all drop to ``tol`` or below.
+
+def _scan(norm, eta, ops, powers, K: Region, horizon: int, tol: float, start: int) -> dict:
+    """Search for a common witness sequence of the powers ``T_l^{r_l n}``.
+
+    Scans ``n = 1..horizon``.  At stage ``k`` a candidate ``n >= start`` is
+    accepted as ``n_k`` when the admissible set ``E`` obtained by discarding
+    points whose forward, backward or cross quantity exceeds ``m_K / 2^k``
+    leaves an indicator residual ``||chi_{K\\E}||_F <= 4 / 2^k``.  The verdict
+    becomes ``WitnessFound`` once the sups over ``E`` and the residual at a
+    stage all drop to ``tol`` or below.  Returns the fields shared by the
+    reports, with :class:`DisjointStage` stages.
     """
-    _check_args(K, horizon, tol)
-    m_K = inf_weight_on(scenario.eta, K)
-    op = scenario.operator
-    w = op.symbol
-    fwd_map, bwd_map = op.map, op.map.inverse
+    m_K = inf_weight_on(eta, K)
     sorted_pts = K.sorted_points()
     pts = np.array(sorted_pts, dtype=np.int64)
-    fwd_pts = pts.copy()
-    bwd_pts = pts.copy()
-    fwd_acc = np.zeros(len(pts))
-    bwd_acc = np.zeros(len(pts))
-    chi = _ChiNormCache(scenario.norm)
+    fwd_pts = [pts.copy() for _ in ops]
+    bwd_pts = [pts.copy() for _ in ops]
+    fwd_acc = [np.zeros(len(pts)) for _ in ops]
+    bwd_acc = [np.zeros(len(pts)) for _ in ops]
+    chi = _ChiNormCache(norm)
     probe_at = _probe_schedule(horizon)
+    pairs = [(s, l) for s in range(len(ops)) for l in range(len(ops)) if s != l]
+
+    def cross(n):
+        # Operator s forward r_s n steps is the forward state at n; walk it
+        # r_l n steps backward under operator l.
+        out = {}
+        for s, l in pairs:
+            p, acc = fwd_pts[s].copy(), np.zeros(len(pts))
+            ops[l].walk(p, acc, powers[l] * n, backward=True)
+            out[(s, l)] = eta.values(p) * np.exp(acc - fwd_acc[s])
+        return out
+
+    def excluded(mask):
+        return frozenset(pt for pt, keep in zip(sorted_pts, mask) if not keep)
 
     k = 1
     tau = m_K / 2.0
@@ -500,34 +495,52 @@ def check_transitivity(
     verdict = NO_WITNESS
     with np.errstate(over="ignore", under="ignore"):
         for n in range(1, horizon + 1):
-            fwd_acc += w.log_values(fwd_pts)
-            fwd_pts = fwd_map.apply_many(fwd_pts)
-            lam_f = scenario.eta.values(fwd_pts) * np.exp(-fwd_acc)
-            bwd_pts = bwd_map.apply_many(bwd_pts)
-            bwd_acc += w.log_values(bwd_pts)
-            lam_b = scenario.eta.values(bwd_pts) * np.exp(bwd_acc)
+            for op, r, fp, fa, bp, ba in zip(ops, powers, fwd_pts, fwd_acc, bwd_pts, bwd_acc):
+                op.walk(fp, fa, r)
+                op.walk(bp, ba, r, backward=True)
+            lam_f = [eta.values(p) * np.exp(-acc) for p, acc in zip(fwd_pts, fwd_acc)]
+            lam_b = [eta.values(p) * np.exp(acc) for p, acc in zip(bwd_pts, bwd_acc)]
+            gam = None
             if n in probe_at:
+                gam = cross(n)
                 probes.append(
-                    CriterionProbe(n, float(lam_f.max()), float(lam_b.max()))
+                    CriterionProbe(
+                        n,
+                        max(float(v.max()) for v in lam_f),
+                        max(float(v.max()) for v in lam_b),
+                        gamma_max=max((float(g.max()) for g in gam.values()), default=None),
+                    )
                 )
-            mask = (lam_f <= tau) & (lam_b <= tau)
-            excluded = frozenset(
-                pt for pt, keep in zip(sorted_pts, mask) if not keep
-            )
-            resid = chi(excluded)
-            if resid <= target + _TIE:
-                sup_f = float(lam_f[mask].max()) if mask.any() else 0.0
-                sup_b = float(lam_b[mask].max()) if mask.any() else 0.0
-                admissible = tuple(pt for pt, keep in zip(sorted_pts, mask) if keep)
-                stages.append(CriterionStage(k, n, admissible, sup_f, sup_b, resid))
-                if sup_f <= tol and sup_b <= tol and resid <= tol:
-                    verdict = WITNESS_FOUND
-                    break
-                k += 1
-                tau *= 0.5
-                target *= 0.5
-    aper = aperiodicity_bound(op.map, K, horizon)
-    return CriterionReport(
+            if n < start:
+                continue
+            mask = np.ones(len(pts), dtype=bool)
+            for v in lam_f + lam_b:
+                mask &= v <= tau
+            if pairs and chi(excluded(mask)) > target + _TIE:
+                continue  # cheap reject before the costly cross quantities
+            if gam is None:
+                gam = cross(n)
+            for g in gam.values():
+                mask &= g <= tau
+            resid = chi(excluded(mask))
+            if resid > target + _TIE:
+                continue
+
+            def _sup(vec):
+                return float(vec[mask].max()) if mask.any() else 0.0
+
+            sup_f = tuple(_sup(v) for v in lam_f)
+            sup_b = tuple(_sup(v) for v in lam_b)
+            gsup = {pair: _sup(g) for pair, g in gam.items()}
+            admissible = tuple(pt for pt, keep in zip(sorted_pts, mask) if keep)
+            stages.append(DisjointStage(k, n, admissible, sup_f, sup_b, gsup, resid))
+            if all(v <= tol for v in (*sup_f, *sup_b, *gsup.values(), resid)):
+                verdict = WITNESS_FOUND
+                break
+            k += 1
+            tau *= 0.5
+            target *= 0.5
+    return dict(
         verdict=verdict,
         m_K=m_K,
         K=tuple(sorted_pts),
@@ -535,25 +548,30 @@ def check_transitivity(
         tol=tol,
         stages=stages,
         probes=probes,
-        aperiodicity_N=aper,
-        params=scenario.describe(),
     )
 
 
-def _gamma_vector(system: DisjointSystem, s: int, l: int, n: int, pts: np.ndarray):
-    op_s, op_l = system.operators[s], system.operators[l]
-    r_s, r_l = system.powers[s], system.powers[l]
-    p = pts.copy()
-    b = np.zeros(len(pts))
-    for _ in range(r_s * n):
-        b += op_s.symbol.log_values(p)
-        p = op_s.map.apply_many(p)
-    a = np.zeros(len(pts))
-    inv = op_l.map.inverse
-    for _ in range(r_l * n):
-        p = inv.apply_many(p)
-        a += op_l.symbol.log_values(p)
-    return system.eta.values(p) * np.exp(a - b)
+def check_transitivity(
+    scenario: Scenario, K: Region, horizon: int, tol: float
+) -> CriterionReport:
+    """Search for the witness sequence certifying transitivity over ``K``.
+
+    This is the scan of one operator at power 1 with every ``n`` a
+    candidate; the report also states the aperiodicity bound of the map.
+    """
+    _check_args(K, horizon, tol)
+    scan = _scan(*_as_system(scenario), K, horizon, tol, start=1)
+    scan["stages"] = [
+        CriterionStage(
+            st.k, st.n, st.admissible, st.sup_forward[0], st.sup_backward[0], st.chi_residual
+        )
+        for st in scan["stages"]
+    ]
+    return CriterionReport(
+        **scan,
+        aperiodicity_N=aperiodicity_bound(scenario.operator.map, K, horizon),
+        params=scenario.describe(),
+    )
 
 
 def check_disjoint_transitivity(
@@ -573,95 +591,8 @@ def check_disjoint_transitivity(
         raise DisjointAperiodicityError(
             "iterated images of K never separate up to the horizon"
         )
-    m_K = inf_weight_on(system.eta, K)
-    N = system.n_ops
-    sorted_pts = K.sorted_points()
-    pts = np.array(sorted_pts, dtype=np.int64)
-    fwd_pts = [pts.copy() for _ in range(N)]
-    bwd_pts = [pts.copy() for _ in range(N)]
-    fwd_acc = [np.zeros(len(pts)) for _ in range(N)]
-    bwd_acc = [np.zeros(len(pts)) for _ in range(N)]
-    chi = _ChiNormCache(system.norm)
-    probe_at = _probe_schedule(horizon)
-    pairs = [(s, l) for s in range(N) for l in range(N) if s != l]
-
-    k = 1
-    tau = m_K / 2.0
-    target = 2.0
-    stages: list = []
-    probes: list = []
-    verdict = NO_WITNESS
-    with np.errstate(over="ignore", under="ignore"):
-        for n in range(1, horizon + 1):
-            lam_f = []
-            lam_b = []
-            for i, op in enumerate(system.operators):
-                w, mp = op.symbol, op.map
-                inv = mp.inverse
-                for _ in range(system.powers[i]):
-                    fwd_acc[i] += w.log_values(fwd_pts[i])
-                    fwd_pts[i] = mp.apply_many(fwd_pts[i])
-                    bwd_pts[i] = inv.apply_many(bwd_pts[i])
-                    bwd_acc[i] += w.log_values(bwd_pts[i])
-                lam_f.append(system.eta.values(fwd_pts[i]) * np.exp(-fwd_acc[i]))
-                lam_b.append(system.eta.values(bwd_pts[i]) * np.exp(bwd_acc[i]))
-            if n in probe_at:
-                gmax = max(
-                    float(_gamma_vector(system, s, l, n, pts).max()) for s, l in pairs
-                )
-                probes.append(
-                    CriterionProbe(
-                        n,
-                        max(float(v.max()) for v in lam_f),
-                        max(float(v.max()) for v in lam_b),
-                        gamma_max=gmax,
-                    )
-                )
-            if n < sep:
-                continue
-            mask = np.ones(len(pts), dtype=bool)
-            for i in range(N):
-                mask &= (lam_f[i] <= tau) & (lam_b[i] <= tau)
-            excluded = frozenset(pt for pt, m in zip(sorted_pts, mask) if not m)
-            if chi(excluded) > target + _TIE:
-                continue  # cheap reject before the costly cross quantities
-            gam = {
-                (s, l): _gamma_vector(system, s, l, n, pts) for s, l in pairs
-            }
-            for g in gam.values():
-                mask &= g <= tau
-            excluded = frozenset(pt for pt, m in zip(sorted_pts, mask) if not m)
-            resid = chi(excluded)
-            if resid <= target + _TIE:
-                def _sup(vec):
-                    return float(vec[mask].max()) if mask.any() else 0.0
-
-                sup_f = tuple(_sup(v) for v in lam_f)
-                sup_b = tuple(_sup(v) for v in lam_b)
-                gsup = {pair: _sup(g) for pair, g in gam.items()}
-                admissible = tuple(pt for pt, m in zip(sorted_pts, mask) if m)
-                stages.append(
-                    DisjointStage(k, n, admissible, sup_f, sup_b, gsup, resid)
-                )
-                if (
-                    max(sup_f) <= tol
-                    and max(sup_b) <= tol
-                    and max(gsup.values()) <= tol
-                    and resid <= tol
-                ):
-                    verdict = WITNESS_FOUND
-                    break
-                k += 1
-                tau *= 0.5
-                target *= 0.5
     return DisjointReport(
-        verdict=verdict,
-        m_K=m_K,
-        K=tuple(sorted_pts),
-        horizon=horizon,
-        tol=tol,
-        stages=stages,
-        probes=probes,
+        **_scan(*_as_system(system), K, horizon, tol, start=sep),
         separation_bound=sep,
         params=system.describe(),
     )

@@ -135,28 +135,32 @@ class AffineLatticeMap:
         )
 
     def apply_many(self, pts: np.ndarray) -> np.ndarray:
-        """Vectorized image of an ``(m, d)`` int64 array of points."""
-        out = pts @ self._linear_array.T + self._offset_array
-        # int64 wraps silently; the exact scalar path never does, so guard here.
-        if np.abs(out).max(initial=0) > 2**62:
+        """Vectorized image of an ``(m, d)`` int64 array of points.
+
+        Raises :class:`DomainError` unless every coordinate of the image is
+        bounded by ``2**62`` a priori, so int64 arithmetic never wraps (the
+        exact scalar path never does).
+        """
+        lin, off, row_l1, max_off = self._int64_constants
+        # a uint64 view keeps |INT64_MIN| = 2**63 from wrapping negative
+        if int(np.abs(pts).view(np.uint64).max(initial=0)) * row_l1 + max_off > 2**62:
             raise DomainError("coordinate range exceeded in vectorized map application")
-        return out
+        return pts @ lin.T + off
 
     @property
-    def _linear_array(self) -> np.ndarray:
-        arr = getattr(self, "_lin_arr", None)
-        if arr is None:
-            arr = np.array(self.linear, dtype=np.int64)
-            object.__setattr__(self, "_lin_arr", arr)
-        return arr
-
-    @property
-    def _offset_array(self) -> np.ndarray:
-        arr = getattr(self, "_off_arr", None)
-        if arr is None:
-            arr = np.array(self.offset, dtype=np.int64)
-            object.__setattr__(self, "_off_arr", arr)
-        return arr
+    def _int64_constants(self) -> tuple:
+        """``(linear, offset)`` as int64 arrays, the largest row L1 norm of
+        the linear part and the largest ``|offset|``, as Python ints."""
+        consts = getattr(self, "_consts", None)
+        if consts is None:
+            consts = (
+                np.array(self.linear, dtype=np.int64),
+                np.array(self.offset, dtype=np.int64),
+                max(sum(abs(v) for v in row) for row in self.linear),
+                max(abs(c) for c in self.offset),
+            )
+            object.__setattr__(self, "_consts", consts)
+        return consts
 
     @property
     def inverse(self) -> "AffineLatticeMap":

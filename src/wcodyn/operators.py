@@ -78,6 +78,23 @@ class WeightedCompositionOperator:
             out[self.map.apply(y)] = v / self.symbol.value_at(y)
         return SampleFunction(out)
 
+    def walk(self, pts: np.ndarray, acc: np.ndarray, steps: int, backward: bool = False):
+        """Step the ``(m, d)`` int64 array ``pts`` ``steps`` times in place,
+        adding ``log w`` along the orbit to ``acc`` (also in place).
+
+        A forward step adds ``log w`` at the point, then applies the map; a
+        backward step applies the inverse, then adds ``log w`` at the image.
+        This is the one vectorized orbit walk: the criteria scan and
+        :meth:`iterate_log` both step through it.
+        """
+        mp = self.map.inverse if backward else self.map
+        for _ in range(steps):
+            if not backward:
+                acc += self.symbol.log_values(pts)
+            pts[...] = mp.apply_many(pts)
+            if backward:
+                acc += self.symbol.log_values(pts)
+
     def iterate_log(self, n: int, f: SampleFunction) -> dict:
         """Log-space iterate: point -> (log magnitude, unit phase).
 
@@ -91,18 +108,12 @@ class WeightedCompositionOperator:
             }
         pts = np.array([pt for pt, _ in items], dtype=np.int64)
         acc = np.zeros(len(items))
-        if n > 0:
-            # prod_{j=0..n-1} w(alpha^j(x)) at x = alpha^{-n}(y) equals
-            # prod_{i=1..n} w(alpha^{-i}(y)): walk backward from the support.
-            inv = self.map.inverse
-            for _ in range(n):
-                pts = inv.apply_many(pts)
-                acc += self.symbol.log_values(pts)
-        else:
-            # S^m picks up prod_{i=0..m-1} w(alpha^i(y))^{-1} walking forward.
-            for _ in range(-n):
-                acc -= self.symbol.log_values(pts)
-                pts = self.map.apply_many(pts)
+        # T^n: prod_{j=0..n-1} w(alpha^j(x)) at x = alpha^{-n}(y) equals
+        # prod_{i=1..n} w(alpha^{-i}(y)), a backward walk from the support.
+        # S^m: prod_{i=0..m-1} w(alpha^i(y))^{-1}, a forward walk, negated.
+        self.walk(pts, acc, abs(n), backward=n > 0)
+        if n < 0:
+            acc = -acc
         out = {}
         for row, (_, v), a in zip(pts, items, acc):
             mag = math.log(abs(v)) + float(a)

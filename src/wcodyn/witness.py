@@ -23,12 +23,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .criteria import (
-    DisjointSystem,
-    EpsilonReport,
-    OperatorFamily,
-    Scenario,
-)
+from .criteria import EpsilonReport, OperatorFamily, Scenario, _as_system
 from .operators import OperatorError, WeightedCompositionOperator
 from .spaces import SampleFunction, Weight, WeightError, norm, weighted_norm
 
@@ -72,15 +67,6 @@ def flatten(f: SampleFunction, eta: Weight) -> SampleFunction:
             raise WeightError("weight must be positive on the support", [pt])
         out[pt] = v / e
     return SampleFunction(out)
-
-
-def _as_system(obj) -> tuple:
-    """Normalize a Scenario or DisjointSystem to (norm, eta, ops, powers)."""
-    if isinstance(obj, Scenario):
-        return obj.norm, obj.eta, (obj.operator,), (1,)
-    if isinstance(obj, DisjointSystem):
-        return obj.norm, obj.eta, obj.operators, obj.powers
-    raise WitnessError(f"expected Scenario or DisjointSystem, got {type(obj).__name__}")
 
 
 def _stage_for(report, k: int):

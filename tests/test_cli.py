@@ -1,9 +1,12 @@
+import hashlib
 import json
 import math
 
 import pytest
 
+from wcodyn import cli
 from wcodyn.cli import (
+    EXIT_CERT_FAILED,
     EXIT_ERROR,
     EXIT_FOUND,
     EXIT_NO_WITNESS,
@@ -14,6 +17,7 @@ from wcodyn.cli import (
     run_scenario,
 )
 from wcodyn.config import ConfigError, load_config, parse_config
+from wcodyn.witness import WitnessAudit
 
 
 TRANSITIVE_DOC = {
@@ -171,6 +175,66 @@ def test_horizon_and_tol_overrides(tmp_path):
     cfg = load_config(write_config(tmp_path, TRANSITIVE_DOC))
     _, report, _ = run_scenario(cfg, horizon=50, tol=0.5)
     assert report.horizon == 50 and report.tol == 0.5
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["decaying-weight-shift", "--horizon", "0"],
+        ["decaying-weight-shift", "--tol", "0"],
+        ["semi-shift-family", "--epsilon", "0"],
+    ],
+)
+def test_zero_overrides_are_not_ignored(argv, capsys):
+    assert main(argv) == EXIT_ERROR
+    assert "must" in capsys.readouterr().err
+
+
+def test_failed_certification_exits_three(tmp_path, monkeypatch, capsys):
+    failed = WitnessAudit(ok=False, stages=[])
+    monkeypatch.setattr(cli, "verify_report", lambda system, report: failed)
+    rc = main([str(write_config(tmp_path, TRANSITIVE_DOC)), "--out", str(tmp_path / "out")])
+    assert rc == EXIT_CERT_FAILED == 3
+    assert "FAILED" in capsys.readouterr().out
+    report = json.loads((tmp_path / "out" / "tiny-decay.report.json").read_text())
+    assert report["verdict"] == "WitnessFound"
+    assert report["exit_status"] == EXIT_CERT_FAILED
+
+
+# sha256 of every bundled scenario's report and curves: a change to the scan
+# must keep these bytes, or explain the drift.  The floats come from numpy's
+# float64 log/exp kernels (recorded with numpy 2.4 on x86-64).
+GOLDEN_SHA256 = {
+    ("decaying-weight-shift", "report.json"): "399c5f565e6e18200b5fa6d40f91f25469f773faeabe769d434338c6ce9ca76c",
+    ("decaying-weight-shift", "curves.csv"): "479120ed3e71032ea62084cbeed77bb3df2fa152d9a061c7302ab26a4b6206d1",
+    ("disjoint-decaying-shifts", "report.json"): "0e2185327032306294d3e9026ec0150924126d66c46d8d64ee5e1cdaaf74e9b1",
+    ("disjoint-decaying-shifts", "curves.csv"): "464b6c767f50a0d537c7202d2f2eb8c955ab7591e311154c1e8ed01d1fc0f6f5",
+    ("disjoint-growing-symbol", "report.json"): "0b6a43d1199b93399713b6da8a5bb95f96515a3872fef5bf1e751365bf3a8cb4",
+    ("disjoint-growing-symbol", "curves.csv"): "ed36f2e47d0c4ff0b803265f0f352a3a27ac89d0fed84b53fadcf2795f5b1b65",
+    ("growing-symbol-shift", "report.json"): "d40b1069e8a28df185357a850e0291094b3b0e75bed3ad5b8b2157305d942025",
+    ("growing-symbol-shift", "curves.csv"): "5e1310a05fd01821d3d2620c4d12fd2175ff9273b2d8685465b1453c1f6d95ed",
+    ("morrey-decaying-shift", "report.json"): "f11bc220048a98e40995f3a52a28de26614c8a6e06e71703d5cfefebd7164d87",
+    ("morrey-decaying-shift", "curves.csv"): "76d243f33c42c4d3362f672c4086f8ab9c87c7264753cb03b247dac3d34087bf",
+    ("orlicz-decaying-shift", "report.json"): "9912040239a16100cf9d77654104cb7f8b445dd67209f2753b5dd910e8e01e42",
+    ("orlicz-decaying-shift", "curves.csv"): "cccb01e63b07a49c2cbe0629bb647b1f14d711c85c672a191b740cc388525720",
+    ("plane-decaying-shift", "report.json"): "378f5f6b4b33df92c61b5f4c1d54fd62a9e592457547247f7ba1ddb4a5409cc6",
+    ("plane-decaying-shift", "curves.csv"): "ca2edbe849ea54c4d30e0b6ea16ebcfac0f1d0ee31c495dbfd1629009690acd9",
+    ("semi-shift-family", "report.json"): "48e04911a62d2ea8ff68f671d43939d1daa217b4c4933e8fa00a14d0c037948e",
+    ("semi-shift-family", "curves.csv"): "231774ec95de50cde16f71ee0a954fa37a39d2654afae3e141c311699183adf2",
+    ("steeper-decay-shift", "report.json"): "7d0af4075661418da00b948349ce0d842cdf4eef7408725f8423aef1a39aba26",
+    ("steeper-decay-shift", "curves.csv"): "65308056a53722ae7b19e76038b757df93e30dbd69124a2462f29706f540e519",
+    ("unweighted-shift", "report.json"): "e834a8fe37fe698e94399584ba3e2ce3f8b284a42144bdfc3af2001b62f00030",
+    ("unweighted-shift", "curves.csv"): "5e1310a05fd01821d3d2620c4d12fd2175ff9273b2d8685465b1453c1f6d95ed",
+}
+
+
+@pytest.mark.parametrize("name", sorted({name for name, _ in GOLDEN_SHA256}))
+def test_bundled_outputs_match_golden_hashes(name, tmp_path):
+    run_scenario(load_bundled(name), out_dir=tmp_path)
+    for suffix in ("report.json", "curves.csv"):
+        digest = hashlib.sha256((tmp_path / f"{name}.{suffix}").read_bytes()).hexdigest()
+        assert digest == GOLDEN_SHA256[(name, suffix)], f"{name}.{suffix}"
+
 
 
 def test_default_region_dilates_K():

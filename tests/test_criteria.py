@@ -2,6 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from wcodyn.criteria import (
     NO_TAIL,
@@ -22,7 +23,14 @@ from wcodyn.criteria import (
 )
 from wcodyn.domain import AffineLatticeMap, Region, iterate_point
 from wcodyn.operators import WeightedCompositionOperator
-from wcodyn.spaces import ConstantWeight, EllPNorm, RadialPowerWeight, SampleFunction, norm
+from wcodyn.spaces import (
+    ConstantWeight,
+    EllPNorm,
+    RadialPowerWeight,
+    SampleFunction,
+    TableWeight,
+    norm,
+)
 
 
 def shift_op(offset, w=1.0, region=None):
@@ -369,3 +377,92 @@ def test_stage_schedule_under_orlicz_residual_norm():
         excluded = K.points - set(st.admissible)
         want = norm(scn.norm, SampleFunction.indicator(excluded)) if excluded else 0.0
         assert st.chi_residual == pytest.approx(want, rel=1e-12)
+
+
+# Non-translation unimodular linear parts: the 1-D reflection, and in 2-D
+# shears, glides (a reflection composed with a shift along the mirror) and
+# signed permutations; the offset supplies the shift.
+LINEAR_PARTS = {
+    1: [((-1,),)],
+    2: [
+        ((1, 1), (0, 1)),
+        ((1, -2), (0, 1)),
+        ((-1, 0), (0, 1)),
+        ((1, 0), (0, -1)),
+        ((0, 1), (1, 0)),
+        ((0, -1), (-1, 0)),
+    ],
+}
+
+
+@st.composite
+def unimodular_systems(draw):
+    """A Scenario on Z or Z^2, or a two-operator DisjointSystem on Z^2 (the
+    1-D reflection never separates K), whose maps are not translations, with
+    constant or table symbols (a table is 1 off the box [-2, 2]^d, so
+    drifting orbits can still decay)."""
+    dim = draw(st.sampled_from([1, 2]))
+    n_ops = draw(st.sampled_from([1, 2])) if dim == 2 else 1
+    region = Region.box([[-4, 4]] * dim)
+    ops = []
+    for _ in range(n_ops):
+        linear = draw(st.sampled_from(LINEAR_PARTS[dim]))
+        offset = draw(st.tuples(*[st.integers(-3, 3)] * dim))
+        if draw(st.booleans()):
+            symbol = ConstantWeight(draw(st.sampled_from([1.0, 0.5, 2.0])))
+        else:
+            entries = st.floats(0.25, 4.0, allow_nan=False)
+            table = {pt: draw(entries) for pt in Region.box([[-2, 2]] * dim).sorted_points()}
+            symbol = TableWeight(table, default=1.0)
+        ops.append(WeightedCompositionOperator(AffineLatticeMap(linear, offset), symbol, region))
+    eta = RadialPowerWeight(p=draw(st.sampled_from([1.0, 2.0])))
+    if n_ops == 1:
+        return Scenario(EllPNorm(1), eta, ops[0], region), dim
+    return DisjointSystem(EllPNorm(1), eta, tuple(ops), (1, 2)), dim
+
+
+def _sup(values):
+    return max(values, default=0.0)
+
+
+@given(unimodular_systems())
+@settings(deadline=None, max_examples=60)
+def test_sups_match_exact_references_on_unimodular_maps(case):
+    # every sup of every stage (probe) is the maximum over the stage's
+    # admissible set (over K) of the exact Python-int reference at its n
+    system, dim = case
+    K = Region.box([[-1, 1]] * dim)
+    if isinstance(system, Scenario):
+        rep = check_transitivity(system, K, 64, 1e-3)
+        singles, powers, pairs = [system], (1,), []
+    else:
+        try:
+            rep = check_disjoint_transitivity(system, K, 64, 1e-3)
+        except DisjointAperiodicityError:
+            assume(False)
+        singles = [Scenario(system.norm, system.eta, op, op.region) for op in system.operators]
+        powers, pairs = system.powers, [(0, 1), (1, 0)]
+
+    def sups(n, pts):
+        fwd = [_sup(lambda_forward(scn, r * n, x) for x in pts) for scn, r in zip(singles, powers)]
+        bwd = [_sup(lambda_backward(scn, r * n, x) for x in pts) for scn, r in zip(singles, powers)]
+        gam = {(s, l): _sup(gamma_cross(system, s, l, n, x) for x in pts) for s, l in pairs}
+        return fwd, bwd, gam
+
+    for st_ in rep.stages:
+        fwd, bwd, gam = sups(st_.n, st_.admissible)
+        if isinstance(system, Scenario):
+            assert st_.sup_forward == pytest.approx(fwd[0], rel=1e-12)
+            assert st_.sup_backward == pytest.approx(bwd[0], rel=1e-12)
+        else:
+            assert list(st_.sup_forward) == pytest.approx(fwd, rel=1e-12)
+            assert list(st_.sup_backward) == pytest.approx(bwd, rel=1e-12)
+            assert st_.gamma == pytest.approx(gam, rel=1e-12)
+    for pr in rep.probes:
+        fwd, bwd, gam = sups(pr.n, K.sorted_points())
+        assert pr.sup_forward == pytest.approx(max(fwd), rel=1e-12)
+        assert pr.sup_backward == pytest.approx(max(bwd), rel=1e-12)
+        if pairs:
+            assert pr.gamma_max == pytest.approx(max(gam.values()), rel=1e-12)
+        else:
+            assert pr.gamma_max is None

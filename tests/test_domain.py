@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wcodyn.domain import (
     AffineLatticeMap,
@@ -89,6 +90,49 @@ class TestMapValidation:
         pts = [(0, 0), (3, -4), (-2, 5)]
         out = m.apply_many(np.array(pts, dtype=np.int64))
         assert [tuple(r) for r in out] == [m.apply(p) for p in pts]
+
+    def test_apply_many_raises_before_int64_wraps(self):
+        # the 25th iterate of (1, 1) has x = 21482885521110903129 > 2**63;
+        # int64 arithmetic would wrap it to 3036141447401351513
+        m = AffineLatticeMap(((5, 4), (1, 1)), (0, 0))
+        pts = np.array([(1, 1)], dtype=np.int64)
+        with pytest.raises(DomainError, match="coordinate range"):
+            for _ in range(25):
+                pts = m.apply_many(pts)
+        assert int(pts[0, 0]) != 3036141447401351513
+
+
+# Unimodular linear parts, hyperbolic ones (|trace| > 2) included.
+LINEAR_2D = [
+    ((1, 0), (0, 1)),
+    ((1, 1), (0, 1)),
+    ((-1, 0), (0, 1)),
+    ((0, -1), (1, 0)),
+    ((2, 1), (1, 1)),
+    ((5, 4), (1, 1)),
+    ((3, -1), (-2, 1)),
+    ((-7, 3), (2, -1)),
+]
+
+
+@given(
+    st.sampled_from(LINEAR_2D),
+    st.tuples(st.integers(-9, 9), st.integers(-9, 9)),
+    st.lists(st.tuples(st.integers(-50, 50), st.integers(-50, 50)), min_size=1, max_size=4),
+)
+@settings(deadline=None, max_examples=60)
+def test_apply_many_agrees_with_exact_apply_or_raises(linear, offset, start):
+    m = AffineLatticeMap(linear, offset)
+    pts = np.array(start, dtype=np.int64)
+    exact = list(start)
+    for _ in range(60):
+        exact = [m.apply(p) for p in exact]
+        try:
+            pts = m.apply_many(pts)
+        except DomainError:
+            assert max(abs(c) for p in exact for c in p) > 2**31  # raised for a reason
+            return
+        assert [tuple(int(c) for c in row) for row in pts] == exact
 
 
 class TestRegion:
