@@ -7,6 +7,14 @@ and backward iterates compose exactly, with no rounding anywhere.
 
 All values in this module are immutable and hashable; coordinates are
 Python integers, so iterates never wrap silently (arbitrary precision).
+
+The aperiodicity and separation bounds are decided exactly up to the stated
+horizon without stepping one iterate at a time: along the orbit of ``K`` in
+int64 blocks of iterates, which fall back to the exact Python-int
+enumeration wherever int64 could not hold the orbit.  Translations stop the
+walk at the last ``n`` at which an image could still meet ``K`` or another
+image, which the extent of ``K`` bounds, so their cost does not grow with
+the horizon.
 """
 
 from __future__ import annotations
@@ -150,14 +158,22 @@ class AffineLatticeMap:
     @property
     def _int64_constants(self) -> tuple:
         """``(linear, offset)`` as int64 arrays, the largest row L1 norm of
-        the linear part and the largest ``|offset|``, as Python ints."""
+        the linear part and the largest ``|offset|``, as Python ints.
+
+        Raises :class:`DomainError` when either exceeds ``2**62``, the range
+        :meth:`apply_many` keeps to.
+        """
         consts = getattr(self, "_consts", None)
         if consts is None:
+            row_l1 = max(sum(abs(v) for v in row) for row in self.linear)
+            max_off = max(abs(c) for c in self.offset)
+            if max(row_l1, max_off) > 2**62:
+                raise DomainError("coordinate range exceeded in vectorized map application")
             consts = (
                 np.array(self.linear, dtype=np.int64),
                 np.array(self.offset, dtype=np.int64),
-                max(sum(abs(v) for v in row) for row in self.linear),
-                max(abs(c) for c in self.offset),
+                row_l1,
+                max_off,
             )
             object.__setattr__(self, "_consts", consts)
         return consts
@@ -247,6 +263,19 @@ class Region:
         return Region(frozenset(m.apply(p) for p in self.points))
 
 
+def _power(m: AffineLatticeMap, k: int) -> AffineLatticeMap:
+    """The map ``m^k`` for ``k >= 0``, composed exactly by square-and-multiply."""
+    acc = AffineLatticeMap.identity(m.dimension)
+    sq = m
+    while k:
+        if k & 1:
+            acc = sq.compose(acc)
+        k >>= 1
+        if k:
+            sq = sq.compose(sq)
+    return acc
+
+
 def iterate_point(m: AffineLatticeMap, n: int, x: Sequence[int]) -> Point:
     """The n-fold iterate ``m^n(x)``; negative ``n`` uses the exact inverse.
 
@@ -258,53 +287,209 @@ def iterate_point(m: AffineLatticeMap, n: int, x: Sequence[int]) -> Point:
         if len(pt) != m.dimension:
             raise DomainError("point dimension mismatch")
         return pt
-    base = m if n > 0 else m.inverse
-    k = abs(n)
-    d = base.dimension
-    lin = tuple(tuple(1 if i == j else 0 for j in range(d)) for i in range(d))
-    off = (0,) * d
+    return _power(m if n > 0 else m.inverse, abs(n)).apply(pt)
 
-    def comp(a, b):
-        # (A2,b2) after (A1,b1): x -> A2(A1 x + b1) + b2
-        (a2, b2), (a1, b1) = a, b
-        lin_ = tuple(
-            tuple(sum(a2[i][t] * a1[t][j] for t in range(d)) for j in range(d))
-            for i in range(d)
+
+# ---------------------------------------------------------------------------
+# Aperiodicity and separation bounds
+#
+# Both bounds are ``last + 1`` (``None`` when ``last`` is the horizon) for
+# ``last``, the last ``n <= horizon`` at which some image ``m_l^{r_l n}(K)``
+# meets ``K`` or two of the images meet each other.  ``_last_meeting``
+# decides it exactly along block-stepped int64 orbits, and falls back to the
+# Python-int enumeration ``_last_meeting_enumerated`` when the int64 orbit
+# would leave its a-priori range.  For translations the walk stops where no
+# image can reach ``K`` or another image any more.
+
+_INT64_SAFE = 2**61  # |coordinate| bound under which differences fit in int64
+_BLOCK = 64  # iterates per orbit block
+_BLOCK_CELLS = 2**20  # cap on B |K| d, the int64 entries of one block
+
+
+def _last_meeting(maps, powers, region: Region, horizon: int) -> int:
+    """The last ``n <= horizon`` at which some ``m_l^{r_l n}(K)`` meets ``K``
+    or two of these images meet each other; 0 when there is none."""
+    for m in maps:
+        if m.dimension != region.dimension:
+            raise DomainError(
+                f"point has dimension {region.dimension}, map has {m.dimension}"
+            )
+    if all(m.is_translation for m in maps):
+        last_possible = _translation_reach(maps, powers, region)
+        if last_possible is None:
+            return horizon
+        horizon = min(horizon, last_possible)
+        if horizon == 0:
+            return 0
+    try:
+        return _last_meeting_orbits(maps, powers, region, horizon)
+    except DomainError:
+        return _last_meeting_enumerated(maps, powers, region, horizon)
+
+
+def _translation_reach(maps, powers, region: Region) -> Optional[int]:
+    """The last ``n`` at which translations ``x -> x + b_l`` could still
+    give a meeting; ``None`` when they give one at every ``n``.
+
+    A meeting at ``n`` needs ``n v`` in ``K - K`` for ``v`` a drift
+    ``r_l b_l`` or a difference of two drifts, so ``n max|v|`` is at most
+    the widest extent of ``K``; a zero ``v`` is a meeting at every ``n``.
+    """
+    reach = max(max(c) - min(c) for c in zip(*region.points))
+    drifts = [tuple(r * c for c in m.offset) for m, r in zip(maps, powers)]
+    vectors = drifts + [
+        tuple(a - b for a, b in zip(drifts[s], drifts[l]))
+        for s in range(len(drifts))
+        for l in range(s + 1, len(drifts))
+    ]
+    sizes = [max(abs(c) for c in v) for v in vectors]
+    if 0 in sizes:
+        return None
+    return max(reach // size for size in sizes)
+
+
+def _int64_rows(region: Region) -> np.ndarray:
+    """The sorted points of ``region`` as an ``(|K|, d)`` int64 array;
+    :class:`DomainError` when a coordinate exceeds ``_INT64_SAFE``."""
+    pts = region.sorted_points()
+    if max(abs(c) for p in pts for c in p) > _INT64_SAFE:
+        raise DomainError("coordinate range exceeded in vectorized bound")
+    return np.array(pts, dtype=np.int64)
+
+
+class _RowIndex:
+    """Exact membership of int64 rows in a fixed set of lattice points.
+
+    Each point is keyed by its row-major offset in the set's bounding box,
+    so the keys of the sorted points are sorted and a query is a box test
+    and a binary search.  :class:`DomainError` when the keys would not fit
+    in int64.
+    """
+
+    def __init__(self, pts: Sequence[Point]):
+        pts = sorted(pts)
+        lo = [min(c) for c in zip(*pts)]
+        hi = [max(c) for c in zip(*pts)]
+        strides = [1] * len(lo)
+        for i in range(len(lo) - 2, -1, -1):
+            strides[i] = strides[i + 1] * (hi[i + 1] - lo[i + 1] + 1)
+        if strides[0] * (hi[0] - lo[0] + 1) > 2**62 or max(map(abs, lo + hi)) >= 2**63:
+            raise DomainError("coordinate range exceeded in vectorized lookup")
+        self.lo, self.hi, self.strides = (np.array(a, dtype=np.int64) for a in (lo, hi, strides))
+        self.keys = np.array(
+            [sum((c - l) * s for c, l, s in zip(p, lo, strides)) for p in pts], dtype=np.int64
         )
-        off_ = tuple(sum(a2[i][t] * b1[t] for t in range(d)) + b2[i] for i in range(d))
-        return lin_, off_
 
-    acc = (lin, off)
-    sq = (base.linear, base.offset)
-    while k:
-        if k & 1:
-            acc = comp(sq, acc)
-        k >>= 1
-        if k:
-            sq = comp(sq, sq)
-    a, b = acc
-    return tuple(sum(a[i][j] * pt[j] for j in range(d)) + b[i] for i in range(d))
+    def find(self, rows: np.ndarray) -> tuple:
+        """``(i, pos)``: the indices of the ``rows`` that are in the set and
+        their positions among its sorted points."""
+        inside = np.flatnonzero(((rows >= self.lo) & (rows <= self.hi)).all(axis=1))
+        key = (rows[inside] - self.lo) @ self.strides
+        pos = np.minimum(np.searchsorted(self.keys, key), len(self.keys) - 1)
+        on = self.keys[pos] == key
+        return inside[on], pos[on]
+
+
+def _last_meeting_orbits(maps, powers, region: Region, horizon: int) -> int:
+    """Block-stepped int64 orbits.
+
+    A block holds the images ``g^{t+1}(K) .. g^{t+B}(K)`` of each
+    ``g_l = m_l^{r_l}`` as a ``(B, |K|, d)`` array (``B`` a power of two,
+    so doubling builds the first block), and the exactly composed
+    map ``g_l^B`` advances it to the next block through the overflow-safe
+    ``apply_many`` (which raises :class:`DomainError` rather than wrap).
+    Membership in ``K`` is looked up in a :class:`_RowIndex`; two images
+    meet where sorting their rows together puts two equal rows side by side.
+    Memory is ``O(B |K| d)``.
+    """
+    K = _int64_rows(region)
+    k, d = K.shape
+    index = _RowIndex(region.points)
+    size = 1 << (max(1, min(_BLOCK, horizon, _BLOCK_CELLS // (k * d))).bit_length() - 1)
+    blocks, leaps = [], []
+    for m, r in zip(maps, powers):
+        leap = _power(m, r)  # g = m^r
+        X = leap.apply_many(K)[None]
+        while len(X) < size:  # with leap = g^L, double iterates 1..L to 1..2L
+            X = np.concatenate([X, leap.apply_many(X.reshape(-1, d)).reshape(X.shape)])
+            leap = leap.compose(leap)
+        blocks.append(X)
+        leaps.append(leap)  # g^size, as size is a power of two
+
+    def meets_K(X):
+        hit = np.zeros(len(X), dtype=bool)
+        hit[index.find(X.reshape(-1, d))[0] // k] = True
+        return hit
+
+    def meet(X, Y):
+        # each image is a set of distinct rows (the maps are bijections), so
+        # X[t] and Y[t] meet iff their rows stacked together repeat one
+        near = (
+            (X.max(axis=1) >= Y.min(axis=1)) & (Y.max(axis=1) >= X.min(axis=1))
+        ).all(axis=1)
+        hit = np.zeros(len(X), dtype=bool)
+        sel = np.flatnonzero(near)
+        if sel.size:
+            rows = np.concatenate([X[sel], Y[sel]], axis=1).reshape(-1, d)
+            t = np.repeat(sel, 2 * k)
+            order = np.lexsort((*rows.T, t))
+            rows, t = rows[order], t[order]
+            same = (rows[1:] == rows[:-1]).all(axis=1) & (t[1:] == t[:-1])
+            hit[t[1:][same]] = True
+        return hit
+
+    last = 0
+    for start in range(0, horizon, size):
+        if start:
+            blocks = [
+                g.apply_many(X.reshape(-1, d)).reshape(X.shape) for g, X in zip(leaps, blocks)
+            ]
+        cur = [X[: horizon - start] for X in blocks]
+        hit = np.zeros(len(cur[0]), dtype=bool)
+        for X in cur:
+            hit |= meets_K(X)
+        for s in range(len(cur)):
+            for l in range(s + 1, len(cur)):
+                hit |= meet(cur[s], cur[l])
+        if hit.any():
+            last = start + int(np.flatnonzero(hit)[-1]) + 1
+    return last
+
+
+def _last_meeting_enumerated(maps, powers, region: Region, horizon: int) -> int:
+    """The exact reference: iterate Python-int images of ``K`` one ``n`` at
+    a time, up to the horizon."""
+    base = region.points
+    imgs = [base] * len(maps)
+    last = 0
+    for n in range(1, horizon + 1):
+        nxt = []
+        for m, r, img in zip(maps, powers, imgs):
+            for _ in range(r):
+                img = frozenset(m.apply(p) for p in img)
+            nxt.append(img)
+        imgs = nxt
+        if any(img & base for img in imgs) or any(
+            imgs[s] & imgs[l] for s in range(len(imgs)) for l in range(s + 1, len(imgs))
+        ):
+            last = n
+    return last
 
 
 def aperiodicity_bound(m: AffineLatticeMap, region: Region, horizon: int) -> Optional[int]:
     """Smallest ``N <= horizon`` with ``K ∩ m^n(K) = ∅`` for all ``n in [N, horizon]``.
 
-    Verified by direct enumeration of the iterated images; ``None`` when the
-    last checked iterate still meets ``K`` (so no bound up to the horizon).
-    The result is a semi-decision: it says nothing about ``n > horizon``.
+    Decided exactly up to the horizon along the orbit of ``K``, in int64
+    blocks of iterates (Python ints when int64 would not suffice); for a
+    translation the orbit is walked only while ``m^n(K)`` can still reach
+    ``K``.  ``None`` when ``m^horizon(K)`` still meets ``K``
+    (so no bound up to the horizon).  The result is a semi-decision: it says
+    nothing about ``n > horizon``.
     """
     if horizon < 1:
         raise DomainError("horizon must be >= 1")
-    base = region.points
-    img = base
-    last_hit = 0
-    for n in range(1, horizon + 1):
-        img = frozenset(m.apply(p) for p in img)
-        if img & base:
-            last_hit = n
-    if last_hit == horizon:
-        return None
-    return last_hit + 1
+    last = _last_meeting([m], [1], region, horizon)
+    return None if last == horizon else last + 1
 
 
 def disjoint_aperiodicity_bound(
@@ -317,6 +502,7 @@ def disjoint_aperiodicity_bound(
     ``m_l^{r_l n}(K)`` are disjoint from ``K`` and pairwise disjoint.
 
     ``powers`` is the strictly increasing sequence ``r_1 < ... < r_N``.
+    Decided exactly up to the horizon, like :func:`aperiodicity_bound`.
     """
     if len(maps) < 2:
         raise DomainError("need at least two maps")
@@ -327,21 +513,5 @@ def disjoint_aperiodicity_bound(
         raise DomainError("powers must be strictly increasing positive integers")
     if horizon < 1:
         raise DomainError("horizon must be >= 1")
-    base = region.points
-    imgs = [base] * len(maps)
-    last_viol = 0
-    for n in range(1, horizon + 1):
-        nxt = []
-        for m, rl, img in zip(maps, r, imgs):
-            for _ in range(rl):
-                img = frozenset(m.apply(p) for p in img)
-            nxt.append(img)
-        imgs = nxt
-        viol = any(img & base for img in imgs) or any(
-            imgs[s] & imgs[l] for s in range(len(imgs)) for l in range(s + 1, len(imgs))
-        )
-        if viol:
-            last_viol = n
-    if last_viol == horizon:
-        return None
-    return last_viol + 1
+    last = _last_meeting(maps, r, region, horizon)
+    return None if last == horizon else last + 1

@@ -18,7 +18,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .domain import AffineLatticeMap, Point, Region
+from .domain import AffineLatticeMap, DomainError, Point, Region, _RowIndex
 
 _LOG_MAX = math.log(np.finfo(np.float64).max)  # ~709.78
 
@@ -428,6 +428,7 @@ class TableWeight(Weight):
             raise WeightError("table default must be positive")
         self._table = tbl
         self.default = default
+        self._lookups = {}
 
     def value_at(self, pt: Point) -> float:
         pt = tuple(int(c) for c in pt)
@@ -437,6 +438,38 @@ class TableWeight(Weight):
                 raise WeightError(f"weight table has no value at {pt}", [pt])
             return self.default
         return v
+
+    def _lookup(self, d: int):
+        """``(index, values)`` of the ``d``-dimensional entries, the values in
+        the order of the sorted points; ``None`` when there are none or their
+        keys would not fit in int64."""
+        if d not in self._lookups:
+            pts = sorted(p for p in self._table if len(p) == d)
+            try:
+                lookup = (_RowIndex(pts), np.array([self._table[p] for p in pts])) if pts else None
+            except DomainError:
+                lookup = None
+            self._lookups[d] = lookup
+        return self._lookups[d]
+
+    def values(self, pts: np.ndarray) -> np.ndarray:
+        pts = np.asarray(pts)
+        lookup = self._lookup(pts.shape[1]) if pts.ndim == 2 and len(pts) else None
+        if lookup is None:
+            return super().values(pts)
+        index, vals = lookup
+        found, pos = index.find(pts.astype(np.int64, copy=False))
+        if self.default is None:
+            if len(found) < len(pts):
+                missing = np.ones(len(pts), dtype=bool)
+                missing[found] = False
+                missing = list(dict.fromkeys(tuple(int(c) for c in row) for row in pts[missing]))
+                more = f" and {len(missing) - 1} more points" if len(missing) > 1 else ""
+                raise WeightError(f"weight table has no value at {missing[0]}{more}", missing)
+            return vals[pos]
+        out = np.full(len(pts), self.default, dtype=float)
+        out[found] = vals[pos]
+        return out
 
     def __eq__(self, other):
         return (

@@ -1,6 +1,8 @@
 import hashlib
+import importlib.util
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -235,6 +237,46 @@ def test_bundled_outputs_match_golden_hashes(name, tmp_path):
         digest = hashlib.sha256((tmp_path / f"{name}.{suffix}").read_bytes()).hexdigest()
         assert digest == GOLDEN_SHA256[(name, suffix)], f"{name}.{suffix}"
 
+
+
+def _bundled_doc(name):
+    from importlib import resources
+
+    return json.loads(resources.files("wcodyn").joinpath("scenarios", f"{name}.json").read_text())
+
+
+def _bench_checks():
+    """The benchmark's checks (``bench/checks.py``), loaded from their file."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "checks.py"
+    spec = importlib.util.spec_from_file_location("wcodyn_bench_checks", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bundled_unit_shift_verdicts_agree_with_salas_closed_form():
+    # For a 1-D unit shift x -> x + b with constant symbol c, the criterion
+    # quantities are eta(x + n b) c^-n and eta(x - n b) c^n (Salas'
+    # characterisation of transitive bilateral weighted shifts); the
+    # prediction reads only the scenario document and is decided when their
+    # minimax over n falls to tol / 2 or stays above tol.
+    checks = _bench_checks()
+    decided = {}
+    for name in bundled_names():
+        doc = _bundled_doc(name)
+        if checks.salas_prediction(doc) in (None, "undecided"):
+            continue
+        _, report, _ = run_scenario(load_bundled(name))
+        assert checks.salas(doc, report) == [], name
+        decided[name] = report.verdict
+    assert decided == {
+        "decaying-weight-shift": "WitnessFound",
+        "steeper-decay-shift": "WitnessFound",
+        "morrey-decaying-shift": "WitnessFound",
+        "orlicz-decaying-shift": "WitnessFound",
+        "unweighted-shift": "NoWitnessUpToHorizon",
+        "growing-symbol-shift": "NoWitnessUpToHorizon",
+    }
 
 
 def test_default_region_dilates_K():

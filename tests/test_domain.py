@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from wcodyn import domain
 from wcodyn.domain import (
     AffineLatticeMap,
     DomainError,
@@ -79,6 +80,8 @@ class TestMapValidation:
             AffineLatticeMap(((1, 0), (0, 1)), (0,))
         with pytest.raises(DomainError):
             shift(-1).apply((0, 0))
+        with pytest.raises(DomainError):
+            iterate_point(shift(-1), 2, (0, 0))
 
     def test_inverse_composes_to_identity(self):
         m = AffineLatticeMap(((1, 3), (0, 1)), (2, -7))
@@ -211,3 +214,167 @@ class TestDisjointAperiodicityBound:
     def test_powers_must_increase(self):
         with pytest.raises(DomainError):
             disjoint_aperiodicity_bound([shift(-1), shift(-2)], [2, 1], Region.of([(0,)]), 10)
+
+
+def enumerated_bound(maps, powers, K, horizon):
+    """The bound read off the exact Python-int enumeration of the images."""
+    last = domain._last_meeting_enumerated(maps, powers, K, horizon)
+    return None if last == horizon else last + 1
+
+
+def public_bound(maps, powers, K, horizon):
+    if len(maps) == 1:
+        assert powers == [1]
+        return aperiodicity_bound(maps[0], K, horizon)
+    return disjoint_aperiodicity_bound(maps, powers, K, horizon)
+
+
+def points(d, lo=-4, hi=4):
+    return st.tuples(*[st.integers(lo, hi)] * d)
+
+
+@st.composite
+def regions(draw, d):
+    return Region.of(draw(st.lists(points(d), min_size=1, max_size=8)))
+
+
+@st.composite
+def powers_for(draw, n_maps):
+    if n_maps == 1:
+        return [1]
+    return sorted(draw(st.sets(st.integers(1, 4), min_size=n_maps, max_size=n_maps)))
+
+
+@given(st.data())
+@settings(deadline=None, max_examples=80)
+def test_translation_bounds_equal_exact_enumeration(data):
+    d = data.draw(st.integers(1, 3))
+    n_maps = data.draw(st.integers(1, 3))
+    maps = [shift(*data.draw(points(d, -3, 3))) for _ in range(n_maps)]  # zero drifts included
+    powers = data.draw(powers_for(n_maps))
+    K = data.draw(regions(d))
+    horizon = data.draw(st.integers(1, 60))
+    assert public_bound(maps, powers, K, horizon) == enumerated_bound(maps, powers, K, horizon)
+
+
+@given(
+    st.tuples(st.integers(1, 4), st.integers(1, 4)).filter(lambda r: r[0] != r[1]),
+    points(2, -2, 2).filter(any),
+    st.sampled_from([2, 3]),
+    st.data(),
+)
+@settings(deadline=None, max_examples=40)
+def test_colliding_scaled_drifts_never_separate(rs, c, n_maps, data):
+    # r_s b_s = r_l b_l: the two images coincide at every n
+    r_s, r_l = sorted(rs)
+    drifts = [tuple(r_l * v for v in c), tuple(r_s * v for v in c)]
+    powers = [r_s, r_l]
+    if n_maps == 3:
+        drifts.append(data.draw(points(2, -3, 3)))
+        powers.append(r_l + 1)
+    maps = [shift(*b) for b in drifts[:n_maps]]
+    powers = powers[:n_maps]
+    K = data.draw(regions(2))
+    horizon = data.draw(st.integers(1, 40))
+    got = disjoint_aperiodicity_bound(maps, powers, K, horizon)
+    assert got is None
+    assert got == enumerated_bound(maps, powers, K, horizon)
+
+
+# Glides, shears, signed permutations, a finite-order rotation and hyperbolic
+# maps (the int64 orbit overflows, so these exercise the exact fallback).
+NON_TRANSLATIONS_2D = [
+    ((1, 0), (0, -1)),  # with an offset along the axis: a glide
+    ((-1, 0), (0, 1)),
+    ((1, 1), (0, 1)),
+    ((1, 0), (-2, 1)),
+    ((0, 1), (1, 0)),
+    ((0, -1), (-1, 0)),
+    ((-1, 0), (0, -1)),
+    ((0, -1), (1, 0)),  # rotation by a quarter turn, order 4
+    ((2, 1), (1, 1)),
+    ((3, -1), (-2, 1)),
+]
+
+
+@given(st.data())
+@settings(deadline=None, max_examples=80)
+def test_orbit_bounds_equal_exact_enumeration(data):
+    n_maps = data.draw(st.integers(1, 3))
+    linears = data.draw(
+        st.lists(st.sampled_from(NON_TRANSLATIONS_2D), min_size=n_maps, max_size=n_maps)
+    )
+    maps = [AffineLatticeMap(lin, data.draw(points(2, -3, 3))) for lin in linears]
+    if n_maps > 1 and data.draw(st.booleans()):
+        maps[0] = shift(*data.draw(points(2, -2, 2)))  # translations mix with other maps
+    powers = data.draw(powers_for(n_maps))
+    K = data.draw(regions(2))
+    horizon = data.draw(st.integers(1, 150))
+    assert public_bound(maps, powers, K, horizon) == enumerated_bound(maps, powers, K, horizon)
+
+
+@given(
+    st.sampled_from([((-1,),), ((1,),)]),
+    st.integers(-3, 3),
+    st.lists(st.integers(-6, 6), min_size=1, max_size=8),
+    st.integers(1, 200),
+)
+@settings(deadline=None, max_examples=40)
+def test_one_dimensional_orbit_bounds_equal_exact_enumeration(linear, b, xs, horizon):
+    m = AffineLatticeMap(linear, (b,))
+    K = Region.of([(x,) for x in xs])
+    assert aperiodicity_bound(m, K, horizon) == enumerated_bound([m], [1], K, horizon)
+
+
+def test_quarter_turn_with_offset_returns_to_K():
+    # (x, y) -> (-y + 1, x) has order 4 and a fixed point off the lattice:
+    # every fourth image is K again, so no bound exists up to any horizon
+    m = AffineLatticeMap(((0, -1), (1, 0)), (1, 0))
+    K = Region.box([[0, 1], [0, 1]])
+    assert aperiodicity_bound(m, K, 403) is None
+    assert enumerated_bound([m], [1], K, 403) is None
+
+
+def test_hyperbolic_map_falls_back_to_exact_enumeration(monkeypatch):
+    m = AffineLatticeMap(((2, 1), (1, 1)), (0, 0))
+    K = Region.box([[0, 4], [0, 4]])
+    calls = []
+    exact = domain._last_meeting_enumerated
+
+    def spy(*args):
+        calls.append(args)
+        return exact(*args)
+
+    monkeypatch.setattr(domain, "_last_meeting_enumerated", spy)
+    # the origin is fixed, so every image meets K; the int64 orbit overflows
+    assert aperiodicity_bound(m, K, 300) is None
+    assert len(calls) == 1
+
+
+def test_translation_bounds_do_not_grow_with_the_horizon():
+    # a translation meets K only while n max|v| fits in K's extent, so the
+    # walk stops there and a horizon of 10**12 costs what a small one does
+    assert aperiodicity_bound(shift(-1), Region.box([[0, 9]]), 10**12) == 10
+    maps, powers = [shift(-1, 2), shift(3, -1), shift(1, 1)], [1, 2, 3]
+    K = Region.box([[0, 3], [0, 3]])
+    small = disjoint_aperiodicity_bound(maps, powers, K, 50)
+    assert small is not None
+    assert small == enumerated_bound(maps, powers, K, 50)
+    assert disjoint_aperiodicity_bound(maps, powers, K, 10**12) == small
+    # a zero drift meets K at every n, whatever the horizon
+    assert aperiodicity_bound(shift(0, 0), Region.box([[0, 1], [0, 1]]), 10**12) is None
+
+
+@pytest.mark.parametrize(
+    "maps, powers",
+    [
+        ([shift(-1)], [1]),
+        ([shift(-1), shift(1)], [1, 2]),
+        ([shift(-1), AffineLatticeMap(((-1,),), (3,))], [1, 2]),
+    ],
+    ids=["shift", "opposite-shifts", "shift-and-reflection"],
+)
+def test_large_region_bounds_equal_exact_enumeration(maps, powers):
+    # 10001 points: the orbit blocks and the pairwise test stay linear in |K|
+    K = Region.box([[-5000, 5000]])
+    assert public_bound(maps, powers, K, 20) == enumerated_bound(maps, powers, K, 20)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wcodyn.domain import AffineLatticeMap, Region
 from wcodyn.spaces import (
@@ -229,6 +230,42 @@ def test_product_weight_combines():
     pts = np.array([[4], [0]], dtype=np.int64)
     assert w.values(pts) == pytest.approx([0.5, 2.0])
     assert w.log_values(pts) == pytest.approx(np.log([0.5, 2.0]))
+
+
+@given(
+    st.integers(1, 3),
+    st.sampled_from([None, 0.75]),
+    st.integers(0, 2**32),
+    st.integers(1, 40),
+)
+@settings(deadline=None, max_examples=60)
+def test_table_values_match_value_at(d, default, seed, n_pts):
+    rng = np.random.default_rng(seed)
+    entries = rng.integers(-4, 5, size=(int(rng.integers(1, 30)), d))
+    table = {tuple(int(c) for c in p): float(rng.uniform(0.1, 3.0)) for p in entries}
+    w = TableWeight(table, default=default)
+    on = entries[rng.integers(0, len(entries), size=n_pts)]
+    off = rng.integers(-6, 7, size=(n_pts, d))
+    for pts in (on, off, np.concatenate([on, off])):
+        try:
+            want = [w.value_at(tuple(p)) for p in pts]
+        except WeightError:
+            missing = {tuple(int(c) for c in p) for p in pts} - set(table)
+            with pytest.raises(WeightError) as err:
+                w.values(pts)
+            assert set(err.value.points) == missing
+            continue
+        got = w.values(pts)
+        assert got.tolist() == want  # the same floats, so log gives the same bits
+        assert np.array_equal(w.log_values(pts), np.log(np.array(want)))
+
+
+def test_sparse_table_values_match_value_at():
+    # a bounding box too large for int64 keys takes the per-point path
+    table = {(0, 0): 2.0, (2**40, -(2**40)): 0.5, (-(2**40), 3): 1.5}
+    w = TableWeight(table, default=1.0)
+    pts = np.array([(0, 0), (2**40, -(2**40)), (1, 1), (-(2**40), 3)], dtype=np.int64)
+    assert w.values(pts).tolist() == [2.0, 0.5, 1.0, 1.5]
 
 
 def test_scale_maps_lattice_to_real_coordinates():
