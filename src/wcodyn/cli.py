@@ -24,6 +24,8 @@ from .criteria import (
     EpsilonReport,
     TAIL_FOUND,
     WITNESS_FOUND,
+    _pair_key,
+    _pairs,
     check_disjoint_transitivity,
     check_semi_transitivity,
     check_transitivity,
@@ -31,7 +33,7 @@ from .criteria import (
 from .spaces import WeightError
 from .operators import OperatorError
 from .domain import DomainError
-from .witness import verify_report
+from .witness import _stage_sups, verify_report
 
 EXIT_FOUND = 0
 EXIT_ERROR = 1
@@ -52,40 +54,28 @@ def emit_curves(report, path: str | Path) -> Path:
 
     Numbers carry 17 significant digits so the file round-trips bit-stably.
     """
-    path = Path(path)
-    lines = []
     if isinstance(report, CriterionReport):
-        lines.append("k,n_k,sup_forward,sup_backward,chi_residual")
-        for st in report.stages:
-            lines.append(
-                ",".join(
-                    _fmt(v)
-                    for v in (st.k, st.n, st.sup_forward, st.sup_backward, st.chi_residual)
-                )
-            )
+        header = "k,n_k,sup_forward,sup_backward,chi_residual"
+        rows = [
+            (st.k, st.n, st.sup_forward, st.sup_backward, st.chi_residual)
+            for st in report.stages
+        ]
     elif isinstance(report, DisjointReport):
-        pairs = sorted({pair for st in report.stages for pair in st.gamma})
-        if not pairs:
-            n = len(report.params.get("operators", [])) or 2
-            pairs = [(s, l) for s in range(n) for l in range(n) if s != l]
-        gamma_cols = [f"gamma_max_s{s + 1}_l{l + 1}" for s, l in pairs]
-        lines.append("k,n_k,sup_forward,sup_backward," + ",".join(gamma_cols) + ",chi_residual")
-        for st in report.stages:
-            row = [st.k, st.n, max(st.sup_forward), max(st.sup_backward)]
-            row += [st.gamma[p] for p in pairs]
-            row.append(st.chi_residual)
-            lines.append(",".join(_fmt(v) for v in row))
+        pairs = _pairs(len(report.params["operators"]))
+        gamma_cols = ["gamma_max_" + _pair_key(pair) for pair in pairs]
+        header = "k,n_k,sup_forward,sup_backward," + ",".join(gamma_cols) + ",chi_residual"
+        rows = [
+            (st.k, st.n, max(st.sup_forward), max(st.sup_backward),
+             *(st.gamma[p] for p in pairs), st.chi_residual)
+            for st in report.stages
+        ]
     elif isinstance(report, EpsilonReport):
-        lines.append("t,pass_chi,pass_product,pass_cross,lambda_t")
-        for r in report.rows:
-            lines.append(
-                ",".join(
-                    _fmt(v)
-                    for v in (r.t, r.pass_chi, r.pass_product, r.pass_cross, r.lambda_t)
-                )
-            )
+        header = "t,pass_chi,pass_product,pass_cross,lambda_t"
+        rows = [(r.t, r.pass_chi, r.pass_product, r.pass_cross, r.lambda_t) for r in report.rows]
     else:
         raise TypeError(f"cannot emit curves for {type(report).__name__}")
+    lines = [header] + [",".join(_fmt(v) for v in row) for row in rows]
+    path = Path(path)
     path.write_text("\n".join(lines) + "\n")
     return path
 
@@ -212,11 +202,10 @@ def main(argv: Optional[list] = None) -> int:
     if cfg.mode in ("transitive", "disjoint"):
         last = report.last_stage()
         if last is not None:
-            sup_f = last.sup_forward if isinstance(last.sup_forward, float) else max(last.sup_forward)
-            sup_b = last.sup_backward if isinstance(last.sup_backward, float) else max(last.sup_backward)
+            sup_f, sup_b, _ = _stage_sups(last)
             print(
                 f"  stages: {len(report.stages)}  last n_k: {last.n}  "
-                f"sup_forward: {sup_f:.6g}  sup_backward: {sup_b:.6g}  "
+                f"sup_forward: {max(sup_f):.6g}  sup_backward: {max(sup_b):.6g}  "
                 f"chi_residual: {last.chi_residual:.6g}"
             )
         if doc["witness_certification"] is not None:

@@ -13,6 +13,11 @@ relevant weight-product quantities and searches for a strictly increasing
 sequence of iterate counts along which all quantities decay.  Verdicts are
 semi-decisions: a found witness sequence is certifiable (see the witness
 module), while "no witness up to the horizon" is evidence, not proof.
+
+All three checkers evaluate their quantities over the sorted points of
+``K`` as arrays and threshold them through the same helpers; semi mode
+decides separation with the exact routine behind the aperiodicity bounds.
+The scalar ``lambda_*`` and ``gamma_cross`` are the exact reference.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ import numpy as np
 from .domain import (
     AffineLatticeMap,
     Region,
+    _last_meeting,
     aperiodicity_bound,
     disjoint_aperiodicity_bound,
 )
@@ -215,24 +221,46 @@ def gamma_cross(system: DisjointSystem, s: int, l: int, n: int, x) -> float:
 # Reports
 
 
+def _pair_key(pair) -> str:
+    """The report key of the 0-based operator pair ``(s, l)``: ``s1_l2`` for ``(0, 1)``."""
+    s, l = pair
+    return f"s{s + 1}_l{l + 1}"
+
+
+def _plain(value):
+    """A report value as JSON data: records by their ``to_dict``, points and
+    tuples as lists, and dicts sorted, with ``(s, l)`` keys by :func:`_pair_key`."""
+    if hasattr(value, "to_dict"):
+        return value.to_dict()
+    if isinstance(value, (tuple, list)):
+        return [_plain(v) for v in value]
+    if isinstance(value, dict):
+        return {
+            _pair_key(k) if isinstance(k, tuple) else k: _plain(v)
+            for k, v in sorted(value.items())
+        }
+    return value
+
+
+class _Record:
+    """Serialisation shared by the report records: every dataclass field in
+    declaration order, then the attributes named in ``_extra``."""
+
+    _extra = ()
+
+    def to_dict(self) -> dict:
+        names = [f.name for f in fields(self)] + list(self._extra)
+        return {name: _plain(getattr(self, name)) for name in names}
+
+
 @dataclass
-class CriterionStage:
+class CriterionStage(_Record):
     k: int
     n: int
     admissible: tuple
     sup_forward: float
     sup_backward: float
     chi_residual: float
-
-    def to_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "n": self.n,
-            "admissible": [list(p) for p in self.admissible],
-            "sup_forward": self.sup_forward,
-            "sup_backward": self.sup_backward,
-            "chi_residual": self.chi_residual,
-        }
 
 
 @dataclass
@@ -253,14 +281,8 @@ class CriterionProbe:
         return d
 
 
-_SEMIDECISION_NOTE = (
-    "WitnessFound is certifiable by witness construction; "
-    "NoWitnessUpToHorizon is evidence up to the horizon, not proof."
-)
-
-
 @dataclass
-class _ScanReport:
+class _ScanReport(_Record):
     """Fields and serialisation shared by the reports of the scanner; each
     subclass adds its bound field, then ``params``."""
 
@@ -272,20 +294,18 @@ class _ScanReport:
     stages: list
     probes: list
 
+    semidecision_note = (
+        "WitnessFound is certifiable by witness construction; "
+        "NoWitnessUpToHorizon is evidence up to the horizon, not proof."
+    )
+    _extra = ("semidecision_note",)
+
     @property
     def n_sequence(self) -> list:
         return [st.n for st in self.stages]
 
     def last_stage(self):
         return self.stages[-1] if self.stages else None
-
-    def to_dict(self) -> dict:
-        d = {f.name: getattr(self, f.name) for f in fields(self)}
-        d["K"] = [list(p) for p in self.K]
-        d["stages"] = [st.to_dict() for st in self.stages]
-        d["probes"] = [pr.to_dict() for pr in self.probes]
-        d["semidecision_note"] = _SEMIDECISION_NOTE
-        return d
 
 
 @dataclass
@@ -297,7 +317,7 @@ class CriterionReport(_ScanReport):
 
 
 @dataclass
-class DisjointStage:
+class DisjointStage(_Record):
     k: int
     n: int
     admissible: tuple
@@ -310,17 +330,6 @@ class DisjointStage:
     def gamma_max(self) -> float:
         return max(self.gamma.values()) if self.gamma else 0.0
 
-    def to_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "n": self.n,
-            "admissible": [list(p) for p in self.admissible],
-            "sup_forward": list(self.sup_forward),
-            "sup_backward": list(self.sup_backward),
-            "gamma": {f"s{s + 1}_l{l + 1}": v for (s, l), v in sorted(self.gamma.items())},
-            "chi_residual": self.chi_residual,
-        }
-
 
 @dataclass
 class DisjointReport(_ScanReport):
@@ -332,7 +341,7 @@ class DisjointReport(_ScanReport):
 
 
 @dataclass
-class SemiRow:
+class SemiRow(_Record):
     t: int
     admissible: tuple
     chi_residual: float
@@ -345,29 +354,15 @@ class SemiRow:
     pass_cross: bool
     pass_aperiodic: bool
 
+    _extra = ("qualifies",)
+
     @property
     def qualifies(self) -> bool:
         return self.pass_chi and self.pass_product and self.pass_cross and self.pass_aperiodic
 
-    def to_dict(self) -> dict:
-        return {
-            "t": self.t,
-            "admissible": [list(p) for p in self.admissible],
-            "chi_residual": self.chi_residual,
-            "sup_forward": list(self.sup_forward),
-            "sup_backward": list(self.sup_backward),
-            "sup_cross": {f"s{s + 1}_l{l + 1}": v for (s, l), v in sorted(self.sup_cross.items())},
-            "lambda_t": self.lambda_t,
-            "pass_chi": self.pass_chi,
-            "pass_product": self.pass_product,
-            "pass_cross": self.pass_cross,
-            "pass_aperiodic": self.pass_aperiodic,
-            "qualifies": self.qualifies,
-        }
-
 
 @dataclass
-class EpsilonReport:
+class EpsilonReport(_Record):
     """Per-epsilon tail certificate for an operator family.
 
     The underlying notion quantifies over every epsilon in (0,1); a run of
@@ -382,25 +377,14 @@ class EpsilonReport:
     rows: list
     params: dict = field(default_factory=dict)
 
+    semidecision_note = "TailFound certifies the stated epsilon and compact set only."
+    _extra = ("semidecision_note",)
+
     def row_for(self, t: int) -> SemiRow:
         for row in self.rows:
             if row.t == t:
                 return row
         raise KeyError(f"no row for t={t}")
-
-    def to_dict(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "tail_start": self.tail_start,
-            "m_K": self.m_K,
-            "K": [list(p) for p in self.K],
-            "epsilon": self.epsilon,
-            "rows": [r.to_dict() for r in self.rows],
-            "params": self.params,
-            "semidecision_note": (
-                "TailFound certifies the stated epsilon and compact set only."
-            ),
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -431,6 +415,32 @@ def _probe_schedule(horizon: int) -> set:
         ns.add(n)
         n *= 2
     return ns
+
+
+def _pairs(n: int) -> list:
+    """The ordered pairs ``(s, l)``, ``s != l``, of ``n`` operators (0-based)."""
+    return [(s, l) for s in range(n) for l in range(n) if s != l]
+
+
+def _below(quantities, bound: float, mask: np.ndarray) -> np.ndarray:
+    """``mask`` narrowed in place to the points where every quantity is at
+    most ``bound``."""
+    for v in quantities:
+        mask &= v <= bound
+    return mask
+
+
+def _sup(vec: np.ndarray, mask: np.ndarray) -> float:
+    """The sup of ``vec`` over the masked points; 0 over none."""
+    return float(vec[mask].max()) if mask.any() else 0.0
+
+
+def _admissible(points: list, mask: np.ndarray) -> tuple:
+    return tuple(pt for pt, keep in zip(points, mask) if keep)
+
+
+def _excluded(points: list, mask: np.ndarray) -> frozenset:
+    return frozenset(pt for pt, keep in zip(points, mask) if not keep)
 
 
 def _check_args(K: Region, horizon: int, tol: float):
@@ -472,7 +482,7 @@ def _scan(norm, eta, ops, powers, K: Region, horizon: int, tol: float, start: in
     bwd_acc = [np.zeros(len(pts)) for _ in ops]
     chi = _ChiNormCache(norm)
     probe_at = _probe_schedule(horizon)
-    pairs = [(s, l) for s in range(len(ops)) for l in range(len(ops)) if s != l]
+    pairs = _pairs(len(ops))
 
     def cross(n):
         # Operator s forward r_s n steps is the forward state at n; walk it
@@ -483,9 +493,6 @@ def _scan(norm, eta, ops, powers, K: Region, horizon: int, tol: float, start: in
             ops[l].walk(p, acc, powers[l] * n, backward=True)
             out[(s, l)] = eta.values(p) * np.exp(acc - fwd_acc[s])
         return out
-
-    def excluded(mask):
-        return frozenset(pt for pt, keep in zip(sorted_pts, mask) if not keep)
 
     k = 1
     tau = m_K / 2.0
@@ -513,26 +520,19 @@ def _scan(norm, eta, ops, powers, K: Region, horizon: int, tol: float, start: in
                 )
             if n < start:
                 continue
-            mask = np.ones(len(pts), dtype=bool)
-            for v in lam_f + lam_b:
-                mask &= v <= tau
-            if pairs and chi(excluded(mask)) > target + _TIE:
+            mask = _below(lam_f + lam_b, tau, np.ones(len(pts), dtype=bool))
+            if pairs and chi(_excluded(sorted_pts, mask)) > target + _TIE:
                 continue  # cheap reject before the costly cross quantities
             if gam is None:
                 gam = cross(n)
-            for g in gam.values():
-                mask &= g <= tau
-            resid = chi(excluded(mask))
+            _below(gam.values(), tau, mask)
+            resid = chi(_excluded(sorted_pts, mask))
             if resid > target + _TIE:
                 continue
-
-            def _sup(vec):
-                return float(vec[mask].max()) if mask.any() else 0.0
-
-            sup_f = tuple(_sup(v) for v in lam_f)
-            sup_b = tuple(_sup(v) for v in lam_b)
-            gsup = {pair: _sup(g) for pair, g in gam.items()}
-            admissible = tuple(pt for pt, keep in zip(sorted_pts, mask) if keep)
+            sup_f = tuple(_sup(v, mask) for v in lam_f)
+            sup_b = tuple(_sup(v, mask) for v in lam_b)
+            gsup = {pair: _sup(g, mask) for pair, g in gam.items()}
+            admissible = _admissible(sorted_pts, mask)
             stages.append(DisjointStage(k, n, admissible, sup_f, sup_b, gsup, resid))
             if all(v <= tol for v in (*sup_f, *sup_b, *gsup.values(), resid)):
                 verdict = WITNESS_FOUND
@@ -617,83 +617,51 @@ def check_semi_transitivity(
         raise CriterionError("K must be non-empty")
     if not (0.0 < epsilon < 1.0):
         raise CriterionError("epsilon must lie in (0, 1)")
-    m_K = inf_weight_on(family.eta, K)
+    eta = family.eta
+    m_K = inf_weight_on(eta, K)
     N = family.n_ops
     theta = m_K * epsilon / (1.0 - epsilon)
     chi_bound = (4 + 2 * N) * N * epsilon
+    guard = 1.0 - 1e-12
     chi = _ChiNormCache(family.norm)
     sorted_pts = K.sorted_points()
-    base = K.points
-    pairs = [(s, l) for s in range(N) for l in range(N) if s != l]
+    pts = np.array(sorted_pts, dtype=np.int64)
+    pairs = _pairs(N)
 
     rows: list = []
     for t in family.index_set:
         maps = [family.map_for(t, l) for l in range(N)]
         syms = [family.symbol_for(t, l) for l in range(N)]
-        invs = [m.inverse for m in maps]
-        images = [frozenset(m.apply(p) for p in base) for m in maps]
-        aper = all(not (img & base) for img in images) and all(
-            not (frozenset(invs[l].apply(p) for p in images[s]) & base)
-            for s, l in pairs
-        )
-        fwd = []  # eta(a_{t,l}(x)) / w_{t,l}(x)
-        bwd = []  # eta(a^{-1}(x)) * w(a^{-1}(x))
-        for l in range(N):
-            fv, bv = [], []
-            for x in sorted_pts:
-                fv.append(family.eta.value_at(maps[l].apply(x)) / syms[l].value_at(x))
-                y = invs[l].apply(x)
-                bv.append(family.eta.value_at(y) * syms[l].value_at(y))
-            fwd.append(fv)
-            bwd.append(bv)
+        # the images a_{t,l}(K) are disjoint from K and from each other
+        aper = _last_meeting(maps, [1] * N, K, 1) == 0
+        w = [sym.values(pts) for sym in syms]
+        fwd = [eta.values(m.apply_many(pts)) / wl for m, wl in zip(maps, w)]
+        back = [m.inverse.apply_many(pts) for m in maps]
+        bwd = [eta.values(y) * sym.values(y) for y, sym in zip(back, syms)]
         cross = {}
         for s, l in pairs:
-            cv = []
-            for x in sorted_pts:
-                y = invs[l].apply(maps[s].apply(x))
-                cv.append(
-                    family.eta.value_at(y)
-                    * syms[l].value_at(y)
-                    / syms[s].value_at(x)
-                )
-            cross[(s, l)] = cv
-        keep = []
-        for i in range(len(sorted_pts)):
-            ok = all(fwd[l][i] <= theta and bwd[l][i] <= theta for l in range(N))
-            ok = ok and all(cross[p][i] <= theta for p in pairs)
-            keep.append(ok)
-        admissible = tuple(p for p, m in zip(sorted_pts, keep) if m)
-        excluded = frozenset(p for p, m in zip(sorted_pts, keep) if not m)
-        resid = chi(excluded)
-
-        def _sup(vals):
-            kept = [v for v, m in zip(vals, keep) if m]
-            return max(kept) if kept else 0.0
-
-        sup_f = tuple(_sup(fwd[l]) for l in range(N))
-        sup_b = tuple(_sup(bwd[l]) for l in range(N))
-        sup_c = {p: _sup(cross[p]) for p in pairs}
+            y = maps[l].inverse.apply_many(maps[s].apply_many(pts))
+            cross[(s, l)] = eta.values(y) * syms[l].values(y) / w[s]
+        mask = _below([*fwd, *bwd, *cross.values()], theta, np.ones(len(pts), dtype=bool))
+        resid = chi(_excluded(sorted_pts, mask))
+        sup_f = tuple(_sup(v, mask) for v in fwd)
+        sup_b = tuple(_sup(v, mask) for v in bwd)
+        sup_c = {pair: _sup(v, mask) for pair, v in cross.items()}
         sum_f = math.fsum(sup_f)
         sum_b = math.fsum(sup_b)
         lam_t = math.sqrt(sum_f) / math.sqrt(sum_b) if sum_b > 0 else math.nan
-        guard = 1.0 - 1e-12
-        pass_chi = resid < chi_bound * guard
-        pass_product = (max(sup_f) * max(sup_b)) < theta * theta * guard
-        pass_cross = (
-            all(v < theta * guard for v in sup_c.values()) if sup_c else True
-        )
         rows.append(
             SemiRow(
                 t=t,
-                admissible=admissible,
+                admissible=_admissible(sorted_pts, mask),
                 chi_residual=resid,
                 sup_forward=sup_f,
                 sup_backward=sup_b,
                 sup_cross=sup_c,
                 lambda_t=lam_t,
-                pass_chi=pass_chi,
-                pass_product=pass_product,
-                pass_cross=pass_cross,
+                pass_chi=resid < chi_bound * guard,
+                pass_product=(max(sup_f) * max(sup_b)) < theta * theta * guard,
+                pass_cross=all(v < theta * guard for v in sup_c.values()),
                 pass_aperiodic=aper,
             )
         )

@@ -1,12 +1,15 @@
 """Witness vectors certifying transitivity verdicts, plus a feasibility oracle.
 
 A checker report only records sup-term curves; the constructions here turn a
-report stage into an explicit vector
+report stage (or a row of a semi-mode report) into an explicit vector
 
-    v = f * chi_E  +  sum_s S_s^{r_s n} (g_s * chi_E)
+    v = f * chi_E  +  rho * sum_s S_s^{k_s} (g_s * chi_E)
 
 whose distances to the source ``f`` and to each target ``g_s`` (after
-applying the operator powers) are computed directly with the weighted norm.
+applying ``lambda * T_s^{k_s}``) are computed directly with the weighted
+norm.  One assembly serves both: a stage has ``k_s = r_s n`` and
+``rho = lambda = 1``, a semi-mode row has ``k_s = 1`` and the scalings of
+the row.
 :func:`verify_report` recomputes those residuals for every stage and checks
 them against a-priori bounds assembled from the report's own sup terms,
 which is the operational soundness content of a found witness.
@@ -23,7 +26,16 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .criteria import EpsilonReport, OperatorFamily, Scenario, _as_system
+from .criteria import (
+    EpsilonReport,
+    OperatorFamily,
+    Scenario,
+    _as_system,
+    _Record,
+    lambda_backward,
+    lambda_forward,
+)
+from .domain import Region
 from .operators import OperatorError, WeightedCompositionOperator
 from .spaces import SampleFunction, Weight, WeightError, norm, weighted_norm
 
@@ -86,6 +98,28 @@ def _check_supports(K_points: set, funcs: Sequence[SampleFunction]):
             )
 
 
+def _assemble(
+    norm_spec, eta, ops, steps, E, source, targets, *, stage: int, n: int, rho=1.0, lam=1.0
+) -> WitnessVector:
+    """The witness ``v = f chi_E + rho sum_s S_s^{k_s}(g_s chi_E)`` for the
+    step counts ``k_s``, with its residuals ``||v - f||`` and
+    ``||lam T_s^{k_s} v - g_s||`` in the weighted norm."""
+    v = source.restrict(E)
+    for op, k, g in zip(ops, steps, targets):
+        v = v + rho * op.iterate(-k, g.restrict(E))
+    return WitnessVector(
+        vector=v,
+        stage=stage,
+        n=n,
+        residual_source=weighted_norm(norm_spec, eta, v - source),
+        residual_targets=tuple(
+            weighted_norm(norm_spec, eta, lam * op.iterate(k, v) - g)
+            for op, k, g in zip(ops, steps, targets)
+        ),
+        scaling=lam,
+    )
+
+
 def build_witness(
     system, report, source: SampleFunction, targets: Sequence[SampleFunction], k: int
 ) -> WitnessVector:
@@ -101,22 +135,8 @@ def build_witness(
         raise WitnessError(f"expected {len(ops)} targets, got {len(targets)}")
     _check_supports(set(report.K), (source, *targets))
     st = _stage_for(report, k)
-    E = st.admissible
-    v = source.restrict(E)
-    for op, r, g in zip(ops, powers, targets):
-        v = v + op.iterate(-r * st.n, g.restrict(E))
-    res_src = weighted_norm(norm_spec, eta, v - source)
-    res_tgt = tuple(
-        weighted_norm(norm_spec, eta, op.iterate(r * st.n, v) - g)
-        for op, r, g in zip(ops, powers, targets)
-    )
-    return WitnessVector(
-        vector=v,
-        stage=k,
-        n=st.n,
-        residual_source=res_src,
-        residual_targets=res_tgt,
-    )
+    steps = [r * st.n for r in powers]
+    return _assemble(norm_spec, eta, ops, steps, st.admissible, source, targets, stage=k, n=st.n)
 
 
 def build_supercyclic_witness(
@@ -139,48 +159,21 @@ def build_supercyclic_witness(
         raise WitnessError(f"t={t} is outside the qualifying tail")
     row = report.row_for(t)
     _check_supports(set(report.K), (source, *targets))
-    E = row.admissible
-    sum_f = math.fsum(row.sup_forward)
-    sum_b = math.fsum(row.sup_backward)
-    if sum_f > 0 and sum_b > 0:
-        rho = math.sqrt(sum_b) / math.sqrt(sum_f)
-        lam = math.sqrt(sum_f) / math.sqrt(sum_b)
-    else:
-        rho = lam = 1.0  # degenerate (empty admissible set): scaling is moot
+    # lambda_t is 0 or nan only for an empty admissible set, where scaling is moot
+    lam = row.lambda_t if row.lambda_t > 0 else 1.0
+    region = Region.of(report.K)
     ops = [
-        WeightedCompositionOperator(
-            family.map_for(t, l),
-            family.symbol_for(t, l),
-            _support_region(report.K),
-        )
+        WeightedCompositionOperator(family.map_for(t, l), family.symbol_for(t, l), region)
         for l in range(family.n_ops)
     ]
-    v = source.restrict(E)
-    for op, g in zip(ops, targets):
-        v = v + rho * op.apply_inverse(g.restrict(E))
-    res_src = weighted_norm(family.norm, family.eta, v - source)
-    res_tgt = tuple(
-        weighted_norm(family.norm, family.eta, lam * op.apply(v) - g)
-        for op, g in zip(ops, targets)
+    return _assemble(
+        family.norm, family.eta, ops, [1] * family.n_ops, row.admissible, source, targets,
+        stage=t, n=1, rho=1.0 / lam, lam=lam,
     )
-    return WitnessVector(
-        vector=v,
-        stage=t,
-        n=1,
-        residual_source=res_src,
-        residual_targets=res_tgt,
-        scaling=lam,
-    )
-
-
-def _support_region(points):
-    from .domain import Region
-
-    return Region.of(points)
 
 
 @dataclass
-class StageAudit:
+class StageAudit(_Record):
     k: int
     n: int
     residual_source: float
@@ -189,28 +182,14 @@ class StageAudit:
     bound_targets: tuple
     ok: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "n": self.n,
-            "residual_source": self.residual_source,
-            "bound_source": self.bound_source,
-            "residual_targets": list(self.residual_targets),
-            "bound_targets": list(self.bound_targets),
-            "ok": self.ok,
-        }
-
 
 @dataclass
-class WitnessAudit:
+class WitnessAudit(_Record):
     ok: bool
     stages: list = field(default_factory=list)
 
-    def to_dict(self) -> dict:
-        return {"ok": self.ok, "stages": [s.to_dict() for s in self.stages]}
 
-
-def _stage_sups(st, n_ops: int):
+def _stage_sups(st):
     """Per-operator sup terms and cross sups of a stage, for either report kind."""
     if hasattr(st.sup_forward, "__len__"):
         return tuple(st.sup_forward), tuple(st.sup_backward), dict(st.gamma)
@@ -255,7 +234,7 @@ def verify_report(
     all_ok = True
     for st in report.stages:
         wv = build_witness(system, report, source, targets, st.k)
-        sup_f, sup_b, gam = _stage_sups(st, len(ops))
+        sup_f, sup_b, gam = _stage_sups(st)
         bound_src = f_sup * st.chi_residual + math.fsum(
             sup_f[s] * g_norm[s] / m_K for s in range(len(ops))
         )
@@ -348,8 +327,6 @@ def feasibility_oracle(
         return res
 
     # Witness-guided candidates over a dyadic threshold ladder.
-    from .criteria import lambda_backward, lambda_forward
-
     K = sorted(f.support | g.support)
     best = None
     best_val = math.inf

@@ -21,7 +21,7 @@ from wcodyn.criteria import (
     lambda_backward,
     lambda_forward,
 )
-from wcodyn.domain import AffineLatticeMap, Region, iterate_point
+from wcodyn.domain import AffineLatticeMap, DomainError, Region, iterate_point
 from wcodyn.operators import WeightedCompositionOperator
 from wcodyn.spaces import (
     ConstantWeight,
@@ -466,3 +466,124 @@ def test_sups_match_exact_references_on_unimodular_maps(case):
             assert pr.gamma_max == pytest.approx(max(gam.values()), rel=1e-12)
         else:
             assert pr.gamma_max is None
+
+
+@st.composite
+def semi_families(draw):
+    """An OperatorFamily on Z or Z^2 with N in {1, 2, 3} members whose maps
+    ``x -> A_l x + t b_l`` take their linear parts from LINEAR_PARTS or the
+    identity, with non-unit constant, table or radial symbols."""
+    dim = draw(st.sampled_from([1, 2]))
+    n_ops = draw(st.sampled_from([1, 2, 3]))
+    identity = tuple(tuple(int(i == j) for j in range(dim)) for i in range(dim))
+    members = []
+    for _ in range(n_ops):
+        linear = draw(st.sampled_from(LINEAR_PARTS[dim] + [identity]))
+        drift = draw(st.tuples(*[st.integers(-3, 3)] * dim))
+        kind = draw(st.sampled_from(["constant", "table", "radial"]))
+        if kind == "constant":
+            symbol = ConstantWeight(draw(st.sampled_from([0.5, 2.0, 3.0])))
+        elif kind == "table":
+            entries = st.floats(0.25, 4.0, allow_nan=False)
+            table = {pt: draw(entries) for pt in Region.box([[-2, 2]] * dim).sorted_points()}
+            symbol = TableWeight(table, default=1.0)
+        else:
+            symbol = RadialPowerWeight(p=draw(st.sampled_from([0.5, 1.0])))
+        members.append((linear, drift, symbol))
+    family = OperatorFamily(
+        norm=EllPNorm(1),
+        eta=RadialPowerWeight(p=draw(st.sampled_from([1.0, 2.0]))),
+        n_ops=n_ops,
+        index_set=range(1, 11),
+        map_for=lambda t, l: AffineLatticeMap(
+            members[l][0], tuple(t * c for c in members[l][1])
+        ),
+        symbol_for=lambda t, l: members[l][2],
+    )
+    return family, dim, draw(st.sampled_from([0.1, 0.5, 0.8, 0.95]))
+
+
+@given(semi_families())
+@settings(deadline=None, max_examples=60)
+def test_semi_rows_match_exact_references(case):
+    # every row's sups are the maxima over its admissible set of the exact
+    # scalar quantities at one application, the admissible set is the
+    # threshold set of those quantities, and pass_aperiodic is the direct
+    # test that the images of K miss K and each other
+    family, dim, eps = case
+    K = Region.box([[-1, 1]] * dim)
+    region = Region.box([[-4, 4]] * dim)
+    rep = check_semi_transitivity(family, K, eps)
+    theta = rep.m_K * eps / (1 - eps)
+    eta, N = family.eta, family.n_ops
+    pairs = [(s, l) for s in range(N) for l in range(N) if s != l]
+    for row in rep.rows:
+        maps = [family.map_for(row.t, l) for l in range(N)]
+        syms = [family.symbol_for(row.t, l) for l in range(N)]
+        singles = [
+            Scenario(family.norm, eta, WeightedCompositionOperator(m, w, region), region)
+            for m, w in zip(maps, syms)
+        ]
+
+        def cross(s, l, x):
+            y = maps[l].inverse.apply(maps[s].apply(x))
+            return eta.value_at(y) * syms[l].value_at(y) / syms[s].value_at(x)
+
+        def quantities(x):
+            return (
+                [lambda_forward(scn, 1, x) for scn in singles]
+                + [lambda_backward(scn, 1, x) for scn in singles]
+                + [cross(s, l, x) for s, l in pairs]
+            )
+
+        E = row.admissible
+        assert list(row.sup_forward) == pytest.approx(
+            [_sup(lambda_forward(scn, 1, x) for x in E) for scn in singles], rel=1e-12
+        )
+        assert list(row.sup_backward) == pytest.approx(
+            [_sup(lambda_backward(scn, 1, x) for x in E) for scn in singles], rel=1e-12
+        )
+        assert row.sup_cross == pytest.approx(
+            {(s, l): _sup(cross(s, l, x) for x in E) for s, l in pairs}, rel=1e-12
+        )
+        for x in K.sorted_points():
+            top = max(quantities(x))
+            if x in E:
+                assert top <= theta * (1 + 1e-12)
+            else:
+                assert top > theta * (1 - 1e-12)
+        base = K.points
+        images = [frozenset(m.apply(p) for p in base) for m in maps]
+        aper = all(not (img & base) for img in images) and all(
+            not (frozenset(maps[l].inverse.apply(p) for p in images[s]) & base)
+            for s, l in pairs
+        )
+        assert row.pass_aperiodic is aper
+
+
+def test_semi_rejects_a_map_of_the_wrong_dimension():
+    fam = OperatorFamily(
+        norm=EllPNorm(1),
+        eta=RadialPowerWeight(p=1),
+        n_ops=1,
+        index_set=range(1, 4),
+        map_for=lambda t, l: AffineLatticeMap.translation((-t, 0)),
+        symbol_for=lambda t, l: ConstantWeight(1.0),
+    )
+    with pytest.raises(DomainError):
+        check_semi_transitivity(fam, Region.box([[-1, 1]]), 0.1)
+
+
+def test_semi_raises_where_images_leave_the_int64_range():
+    # x + 2**62 for x in K = [-1, 1] exceeds the a-priori range of the
+    # vectorised map application, which raises rather than wrapping
+    fam = OperatorFamily(
+        norm=EllPNorm(1),
+        eta=RadialPowerWeight(p=1),
+        n_ops=1,
+        index_set=(1,),
+        map_for=lambda t, l: AffineLatticeMap.translation((t * 2**62,)),
+        symbol_for=lambda t, l: ConstantWeight(1.0),
+    )
+    with pytest.raises(DomainError):
+        check_semi_transitivity(fam, Region.box([[-1, 1]]), 0.1)

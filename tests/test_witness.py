@@ -13,7 +13,7 @@ from wcodyn.criteria import (
     check_semi_transitivity,
     check_transitivity,
 )
-from wcodyn.domain import AffineLatticeMap, Region
+from wcodyn.domain import AffineLatticeMap, Region, iterate_point
 from wcodyn.operators import WeightedCompositionOperator
 from wcodyn.spaces import (
     ConstantWeight,
@@ -138,6 +138,28 @@ class TestBuildWitness:
         assert wv.residual_source == pytest.approx(closed, abs=1e-12)
 
 
+    def test_disjoint_powers_keep_stage_and_iterate_count(self):
+        # powers (2, 3): the witness of stage k is recorded at the stage's n
+        # (not at a step count r_s n), and operator s moves E by r_s n steps
+        sys_ = DisjointSystem(
+            EllPNorm(1), RadialPowerWeight(p=1), (shift_op(-1), shift_op(-2)), (2, 3)
+        )
+        rep = check_disjoint_transitivity(sys_, Region.box([[-2, 2]]), 2_000, 1e-2)
+        assert rep.stages
+        src = flatten(SampleFunction.indicator(rep.K), sys_.eta)
+        for st in rep.stages:
+            wv = build_witness(sys_, rep, src, [src, src], st.k)
+            assert wv.n == st.n
+            assert wv.stage == st.k
+            assert wv.scaling == 1.0
+            moved = {
+                iterate_point(op.map, r * st.n, x)
+                for op, r in zip(sys_.operators, sys_.powers)
+                for x in st.admissible
+            }
+            assert wv.vector.support == set(st.admissible) | moved
+
+
 class TestVerifyReport:
     def test_certifies_decaying_scenario(self):
         scn = make_scenario()
@@ -208,6 +230,34 @@ class TestSupercyclicWitness:
         rep = check_semi_transitivity(fam, Region.box([[-1, 1]]), 0.1)
         with pytest.raises(WitnessError, match="tail"):
             build_supercyclic_witness(fam, rep, 5, chi(0), [chi(0), chi(0)])
+
+    def test_bookkeeping_and_scaling_of_an_asymmetric_family(self):
+        # symbols 2 make lambda_t about 1/2: the witness is recorded at n = 1
+        # and stage t, scales the images by lambda_t and the pulled-back
+        # targets by 1 / lambda_t
+        fam = OperatorFamily(
+            norm=EllPNorm(1),
+            eta=RadialPowerWeight(p=1),
+            n_ops=2,
+            index_set=range(1, 61),
+            map_for=lambda t, l: AffineLatticeMap.translation((-t * (l + 1),)),
+            symbol_for=lambda t, l: ConstantWeight(2.0),
+        )
+        rep = check_semi_transitivity(fam, Region.box([[-1, 1]]), 0.1)
+        assert rep.tail_start is not None
+        for t in (rep.tail_start, 60):
+            row = rep.row_for(t)
+            assert row.lambda_t == pytest.approx(0.5, rel=0.2)
+            wv = build_supercyclic_witness(fam, rep, t, chi(0), [chi(0), chi(0)])
+            assert (wv.n, wv.stage, wv.scaling) == (1, t, row.lambda_t)
+            for l in range(2):
+                far = (-t * (l + 1),)
+                assert wv.vector[far] == pytest.approx(1 / (2.0 * row.lambda_t), rel=1e-12)
+                op = WeightedCompositionOperator(
+                    fam.map_for(t, l), fam.symbol_for(t, l), Region.of(rep.K)
+                )
+                want = weighted_norm(fam.norm, fam.eta, wv.scaling * op.apply(wv.vector) - chi(0))
+                assert wv.residual_targets[l] == pytest.approx(want, rel=1e-12)
 
     def test_single_member_family_reduces_to_plain_witness(self):
         t0 = 20
