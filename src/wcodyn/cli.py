@@ -16,7 +16,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Optional
 
-from .config import ConfigError, ScenarioConfig, load_config, parse_config
+from .config import ConfigError, ScenarioConfig, _read_doc, parse_config
 from .criteria import (
     CriterionError,
     CriterionReport,
@@ -90,9 +90,15 @@ def run_scenario(
     """Run one scenario; returns ``(document, report, exit_status)``.
 
     When ``out_dir`` is given, writes ``<name>.report.json`` and
-    ``<name>.curves.csv`` there.
+    ``<name>.curves.csv`` there.  An override that the mode does not read
+    (``horizon`` or ``tol`` in semi mode, ``epsilon`` in the others) is a
+    :class:`ConfigError`.
     """
-    system = cfg.build()
+    unread = {"horizon": horizon, "tol": tol} if cfg.mode == "semi" else {"epsilon": epsilon}
+    for field, value in unread.items():
+        if value is not None:
+            raise ConfigError(field, f"must not be given in {cfg.mode} mode, which does not read it")
+    system = cfg.system
     horizon = cfg.horizon if horizon is None else horizon
     tol = cfg.tol if tol is None else tol
     if cfg.mode == "transitive":
@@ -138,14 +144,18 @@ def bundled_names() -> list:
     return sorted(p.name[: -len(".json")] for p in files.iterdir() if p.name.endswith(".json"))
 
 
-def load_bundled(name: str) -> ScenarioConfig:
+def _bundled_doc(name: str) -> dict:
     files = resources.files("wcodyn").joinpath("scenarios")
     entry = files.joinpath(f"{name}.json")
     if not entry.is_file():
         raise ConfigError(
             "scenario", f"no bundled scenario {name!r}; available: {', '.join(bundled_names())}"
         )
-    return parse_config(json.loads(entry.read_text()))
+    return json.loads(entry.read_text())
+
+
+def load_bundled(name: str) -> ScenarioConfig:
+    return parse_config(_bundled_doc(name))
 
 
 def main(argv: Optional[list] = None) -> int:
@@ -179,14 +189,14 @@ def main(argv: Optional[list] = None) -> int:
         return EXIT_ERROR
 
     try:
-        if Path(args.scenario).exists():
-            cfg = load_config(args.scenario)
+        path = Path(args.scenario)
+        if path.exists():
+            doc, base_dir = _read_doc(path), path.parent
         else:
-            cfg = load_bundled(args.scenario)
-        if args.mode and args.mode != cfg.mode:
-            doc = dict(cfg.raw)
-            doc["mode"] = args.mode
-            cfg = parse_config(doc)
+            doc, base_dir = _bundled_doc(args.scenario), None
+        if args.mode and isinstance(doc, dict):
+            doc = dict(doc, mode=args.mode)
+        cfg = parse_config(doc, base_dir)
         doc, report, status = run_scenario(
             cfg,
             out_dir=args.out,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
-from .criteria import DisjointSystem, OperatorFamily, Scenario
+from .criteria import CriterionError, DisjointSystem, OperatorFamily, Scenario, _as_system
 from .domain import AffineLatticeMap, DomainError, Region
 from .operators import OperatorError, WeightedCompositionOperator
 from .spaces import (
@@ -42,8 +42,14 @@ class ConfigError(ValueError):
         self.field = field
 
 
+def _as_dict(v, path: str) -> dict:
+    if not isinstance(v, dict):
+        raise ConfigError(path, f"expected an object, got {v!r}")
+    return v
+
+
 def _need(d: dict, key: str, path: str):
-    if key not in d:
+    if key not in _as_dict(d, path):
         raise ConfigError(f"{path}.{key}" if path else key, "missing required field")
     return d[key]
 
@@ -58,6 +64,17 @@ def _as_int(v, path: str) -> int:
     if not isinstance(v, int) or isinstance(v, bool):
         raise ConfigError(path, f"expected an integer, got {v!r}")
     return v
+
+
+def _as_list(v, path: str, length: Optional[int] = None) -> list:
+    if not isinstance(v, list) or length not in (None, len(v)):
+        size = "" if length is None else f" of {length} entries"
+        raise ConfigError(path, f"expected a list{size}, got {v!r}")
+    return v
+
+
+def _as_ints(v, path: str, length: Optional[int] = None) -> tuple:
+    return tuple(_as_int(c, path) for c in _as_list(v, path, length))
 
 
 def _parse_young(d: dict, path: str):
@@ -90,7 +107,14 @@ def parse_norm(d: dict, path: str = "norm"):
     raise ConfigError(f"{path}.kind", f"unknown norm kind {kind!r}")
 
 
-def _load_table_csv(path: Path, field: str) -> dict:
+def _table_entry(row, field: str, dimension: Optional[int]) -> tuple:
+    """``(point, value)`` of a weight-table row ``x_1, ..., x_d, value``."""
+    if not isinstance(row, list) or len(row) < 2 or dimension not in (None, len(row) - 1):
+        raise ConfigError(field, f"expected {dimension or 'd'} coordinates and a value, got {row!r}")
+    return tuple(int(_as_number(c, field)) for c in row[:-1]), _as_number(row[-1], field)
+
+
+def _load_table_csv(path: Path, field: str, dimension: Optional[int]) -> dict:
     table = {}
     try:
         with open(path, newline="") as fh:
@@ -103,13 +127,21 @@ def _load_table_csv(path: Path, field: str) -> dict:
                     if i == 0:
                         continue  # header row
                     raise ConfigError(field, f"non-numeric row {i + 1} in {path}")
-                table[tuple(int(c) for c in nums[:-1])] = nums[-1]
+                pt, value = _table_entry(nums, f"{field} row {i + 1}", dimension)
+                table[pt] = value
     except OSError as exc:
         raise ConfigError(field, f"cannot read weight table: {exc}") from exc
     return table
 
 
 def parse_weight(d: dict, path: str, scale: float = 1.0, base_dir: Optional[Path] = None) -> Weight:
+    return _parse_weight(d, path, scale, base_dir, None)
+
+
+def _parse_weight(d: dict, path: str, scale: float, base_dir: Optional[Path],
+                  dimension: Optional[int]) -> Weight:
+    """:func:`parse_weight`; table rows must have ``dimension`` coordinates
+    unless it is ``None``."""
     kind = _need(d, "kind", path)
     try:
         if kind == "constant":
@@ -124,15 +156,17 @@ def parse_weight(d: dict, path: str, scale: float = 1.0, base_dir: Optional[Path
                 default = _as_number(default, f"{path}.default")
             if "csv" in d:
                 base = base_dir or Path.cwd()
-                table = _load_table_csv(base / d["csv"], f"{path}.csv")
+                table = _load_table_csv(base / d["csv"], f"{path}.csv", dimension)
             else:
-                raw = _need(d, "values", path)
-                table = {tuple(int(c) for c in row[:-1]): float(row[-1]) for row in raw}
+                rows = _as_list(_need(d, "values", path), f"{path}.values")
+                table = dict(
+                    _table_entry(row, f"{path}.values[{i}]", dimension) for i, row in enumerate(rows)
+                )
             return TableWeight(table, default=default)
         if kind == "product":
             factors = tuple(
-                parse_weight(fd, f"{path}.factors[{i}]", scale, base_dir)
-                for i, fd in enumerate(_need(d, "factors", path))
+                _parse_weight(fd, f"{path}.factors[{i}]", scale, base_dir, dimension)
+                for i, fd in enumerate(_as_list(_need(d, "factors", path), f"{path}.factors"))
             )
             return ProductWeight(factors)
     except WeightError as exc:
@@ -141,30 +175,25 @@ def parse_weight(d: dict, path: str, scale: float = 1.0, base_dir: Optional[Path
 
 
 def parse_map(d: dict, path: str, dimension: int) -> AffineLatticeMap:
-    offset = _need(d, "offset", path)
-    if len(offset) != dimension:
-        raise ConfigError(f"{path}.offset", f"expected {dimension} entries")
+    offset = _as_ints(_need(d, "offset", path), f"{path}.offset", dimension)
     linear = d.get("linear")
     try:
         if linear is None:
             return AffineLatticeMap.translation(offset)
-        return AffineLatticeMap(tuple(tuple(r) for r in linear), tuple(offset))
+        rows = _as_list(linear, f"{path}.linear", dimension)
+        return AffineLatticeMap(tuple(_as_ints(r, f"{path}.linear", dimension) for r in rows), offset)
     except DomainError as exc:
         raise ConfigError(path, str(exc)) from exc
 
 
 def parse_region(d: dict, path: str, dimension: int) -> Region:
     try:
-        if "box" in d:
-            box = d["box"]
-            if len(box) != dimension:
-                raise ConfigError(f"{path}.box", f"expected {dimension} bound pairs")
-            return Region.box(box)
+        if "box" in _as_dict(d, path):
+            box = _as_list(d["box"], f"{path}.box", dimension)
+            return Region.box([_as_ints(pair, f"{path}.box", 2) for pair in box])
         if "points" in d:
-            pts = d["points"]
-            if any(len(p) != dimension for p in pts):
-                raise ConfigError(f"{path}.points", f"points must have dimension {dimension}")
-            return Region.of(pts)
+            pts = _as_list(d["points"], f"{path}.points")
+            return Region.of(_as_ints(p, f"{path}.points", dimension) for p in pts)
     except DomainError as exc:
         raise ConfigError(path, str(exc)) from exc
     raise ConfigError(path, "need either 'box' or 'points'")
@@ -179,14 +208,21 @@ def _is_signed_permutation(m: AffineLatticeMap) -> bool:
     return all([abs(v) for v in col if v != 0] == [1] for col in cols)
 
 
+def _build(field: str, make):
+    """``make()``, with an error in building the system reported against ``field``."""
+    try:
+        return make()
+    except (OperatorError, WeightError, DomainError) as exc:
+        raise ConfigError(field, str(exc)) from exc
+
+
 @dataclass
 class ScenarioConfig:
-    """A validated scenario: everything needed to run one check."""
+    """A validated scenario with the system it runs: a ``Scenario``, a
+    ``DisjointSystem`` or an ``OperatorFamily``, by mode."""
 
     name: str
     mode: str
-    dimension: int
-    scale: float
     norm: object
     eta: Weight
     K: Region
@@ -194,50 +230,22 @@ class ScenarioConfig:
     horizon: Optional[int]
     tol: Optional[float]
     epsilon: Optional[float]
-    operators: tuple  # (map, symbol) pairs for transitive/disjoint modes
-    powers: tuple
-    n_ops: int
-    family_direction: Optional[tuple]
-    family_symbol: Optional[Weight]
-    index_range: Optional[tuple]
+    system: object
     raw: dict
 
     def warnings(self) -> list:
-        out = []
-        if isinstance(self.norm, MorreyNorm):
-            for mp, _ in self.operators:
-                if not _is_signed_permutation(mp):
-                    out.append(
-                        "morrey norm: map is not a signed permutation plus shift, "
-                        "so norm invariance under the map is not guaranteed"
-                    )
-        return out
+        if self.mode == "semi" or not isinstance(self.norm, MorreyNorm):
+            return []
+        return [
+            "morrey norm: map is not a signed permutation plus shift, "
+            "so norm invariance under the map is not guaranteed"
+            for op in _as_system(self.system)[2]
+            if not _is_signed_permutation(op.map)
+        ]
 
     def build(self):
-        """Construct the system under test: Scenario, DisjointSystem, or family."""
-        if self.mode == "transitive":
-            mp, sym = self.operators[0]
-            op = WeightedCompositionOperator(mp, sym, self.region)
-            return Scenario(self.norm, self.eta, op, self.region)
-        if self.mode == "disjoint":
-            ops = tuple(
-                WeightedCompositionOperator(mp, sym, self.region)
-                for mp, sym in self.operators
-            )
-            return DisjointSystem(self.norm, self.eta, ops, self.powers)
-        direction = self.family_direction
-        symbol = self.family_symbol
-        lo, hi = self.index_range
-        return OperatorFamily(
-            norm=self.norm,
-            eta=self.eta,
-            n_ops=self.n_ops,
-            index_set=range(lo, hi + 1),
-            map_for=lambda t, l: AffineLatticeMap.translation(
-                tuple(t * (l + 1) * c for c in direction)
-            ),
-            symbol_for=lambda t, l: symbol,
-        )
+        """The system under test, built by :func:`parse_config`."""
+        return self.system
 
 
 def parse_config(doc: dict, base_dir: Optional[Path] = None) -> ScenarioConfig:
@@ -247,15 +255,19 @@ def parse_config(doc: dict, base_dir: Optional[Path] = None) -> ScenarioConfig:
     mode = _need(doc, "mode", "")
     if mode not in MODES:
         raise ConfigError("mode", f"must be one of {MODES}, got {mode!r}")
-    dom = doc.get("domain", {})
+    dom = _as_dict(doc.get("domain", {}), "domain")
     dimension = _as_int(dom.get("dimension", 1), "domain.dimension")
     if dimension < 1:
         raise ConfigError("domain.dimension", "must be >= 1")
     scale = _as_number(dom.get("scale", 1.0), "domain.scale")
     if scale <= 0:
         raise ConfigError("domain.scale", "must be positive")
-    norm_spec = parse_norm(_need(doc, "norm", ""), "norm")
-    eta = parse_weight(_need(doc, "eta", ""), "eta", scale, base_dir)
+
+    def weight(d, path):
+        return _parse_weight(d, path, scale, base_dir, dimension)
+
+    norm = parse_norm(_need(doc, "norm", ""), "norm")
+    eta = weight(_need(doc, "eta", ""), "eta")
     K = parse_region(_need(doc, "K", ""), "K", dimension)
     if "region" in doc:
         region = parse_region(doc["region"], "region", dimension)
@@ -265,12 +277,12 @@ def parse_config(doc: dict, base_dir: Optional[Path] = None) -> ScenarioConfig:
         hi = [max(p[i] for p in pts) + 1 for i in range(dimension)]
         region = Region.box(list(zip(lo, hi)))
 
-    horizon = tol = epsilon = None
-    operators: tuple = ()
-    powers: tuple = ()
-    n_ops = 1
-    family_direction = family_symbol = index_range = None
+    def operator(od, path):
+        mp = parse_map(_need(od, "map", path), f"{path}.map", dimension)
+        symbol = weight(_need(od, "symbol", path), f"{path}.symbol")
+        return _build(path, lambda: WeightedCompositionOperator(mp, symbol, region))
 
+    horizon = tol = epsilon = None
     if mode in ("transitive", "disjoint"):
         horizon = _as_int(_need(doc, "horizon", ""), "horizon")
         if horizon < 1:
@@ -279,94 +291,58 @@ def parse_config(doc: dict, base_dir: Optional[Path] = None) -> ScenarioConfig:
         if not (0 < tol < 1):
             raise ConfigError("tol", "must lie in (0, 1)")
     if mode == "transitive":
-        od = _need(doc, "operator", "")
-        operators = (
-            (
-                parse_map(_need(od, "map", "operator"), "operator.map", dimension),
-                parse_weight(_need(od, "symbol", "operator"), "operator.symbol", scale, base_dir),
-            ),
-        )
-        n_ops = 1
+        op = operator(_need(doc, "operator", ""), "operator")
+        system = _build("operator", lambda: Scenario(norm, eta, op, region))
     elif mode == "disjoint":
         ods = _need(doc, "operators", "")
         if not isinstance(ods, list) or len(ods) < 2:
             raise ConfigError("operators", "need a list of at least two operators")
-        operators = tuple(
-            (
-                parse_map(_need(od, "map", f"operators[{i}]"), f"operators[{i}].map", dimension),
-                parse_weight(
-                    _need(od, "symbol", f"operators[{i}]"),
-                    f"operators[{i}].symbol",
-                    scale,
-                    base_dir,
-                ),
-            )
-            for i, od in enumerate(ods)
-        )
-        powers = tuple(_as_int(p, "powers") for p in _need(doc, "powers", ""))
-        if len(powers) != len(operators):
-            raise ConfigError("powers", "must match the number of operators")
-        n_ops = len(operators)
+        ops = tuple(operator(od, f"operators[{i}]") for i, od in enumerate(ods))
+        powers = _as_ints(_need(doc, "powers", ""), "powers", len(ops))
+        try:
+            system = _build("operators", lambda: DisjointSystem(norm, eta, ops, powers))
+        except CriterionError as exc:
+            raise ConfigError("powers", str(exc)) from exc
     else:  # semi
         epsilon = _as_number(_need(doc, "epsilon", ""), "epsilon")
         if not (0 < epsilon < 1):
             raise ConfigError("epsilon", "must lie in (0, 1)")
-        fd = _need(doc, "family", "")
+        fd = _as_dict(_need(doc, "family", ""), "family")
         if fd.get("kind", "scaled_translation") != "scaled_translation":
             raise ConfigError("family.kind", "only 'scaled_translation' is supported")
-        direction = _need(fd, "direction", "family")
-        if len(direction) != dimension:
-            raise ConfigError("family.direction", f"expected {dimension} entries")
-        family_direction = tuple(int(c) for c in direction)
-        family_symbol = parse_weight(
-            fd.get("symbol", {"kind": "constant", "value": 1.0}),
-            "family.symbol",
-            scale,
-            base_dir,
-        )
+        direction = _as_ints(_need(fd, "direction", "family"), "family.direction", dimension)
+        symbol = weight(fd.get("symbol", {"kind": "constant", "value": 1.0}), "family.symbol")
         n_ops = _as_int(_need(doc, "n_ops", ""), "n_ops")
         if n_ops < 1:
             raise ConfigError("n_ops", "must be >= 1")
-        rng = _need(doc, "index_range", "")
-        if len(rng) != 2:
-            raise ConfigError("index_range", "expected [lo, hi]")
-        index_range = (_as_int(rng[0], "index_range"), _as_int(rng[1], "index_range"))
-        if index_range[1] < index_range[0]:
+        lo, hi = _as_ints(_need(doc, "index_range", ""), "index_range", 2)
+        if hi < lo:
             raise ConfigError("index_range", "hi must be >= lo")
+        system = OperatorFamily(
+            norm=norm,
+            eta=eta,
+            n_ops=n_ops,
+            index_set=range(lo, hi + 1),
+            map_for=lambda t, l: AffineLatticeMap.translation(
+                tuple(t * (l + 1) * c for c in direction)
+            ),
+            symbol_for=lambda t, l: symbol,
+        )
 
-    cfg = ScenarioConfig(
-        name=name,
-        mode=mode,
-        dimension=dimension,
-        scale=scale,
-        norm=norm_spec,
-        eta=eta,
-        K=K,
-        region=region,
-        horizon=horizon,
-        tol=tol,
-        epsilon=epsilon,
-        operators=operators,
-        powers=powers,
-        n_ops=n_ops,
-        family_direction=family_direction,
-        family_symbol=family_symbol,
-        index_range=index_range,
-        raw=doc,
-    )
+    return ScenarioConfig(name=name, mode=mode, norm=norm, eta=eta, K=K, region=region,
+                          horizon=horizon, tol=tol, epsilon=epsilon, system=system, raw=doc)
+
+
+def _read_doc(path: Path):
+    """The JSON document in the file at ``path``."""
     try:
-        cfg.build()  # surface operator/system construction errors as config errors
-    except (OperatorError, WeightError, DomainError) as exc:
-        raise ConfigError("operator", str(exc)) from exc
-    return cfg
-
-
-def load_config(path: str | Path) -> ScenarioConfig:
-    path = Path(path)
-    try:
-        doc = json.loads(path.read_text())
+        return json.loads(path.read_text())
     except OSError as exc:
         raise ConfigError("", f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError("", f"invalid JSON: {exc}") from exc
-    return parse_config(doc, base_dir=path.parent)
+
+
+def load_config(path: str | Path) -> ScenarioConfig:
+    path = Path(path)
+    return parse_config(_read_doc(path), base_dir=path.parent)

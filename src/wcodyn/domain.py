@@ -20,7 +20,6 @@ the horizon.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -59,34 +58,14 @@ def _int_det(rows: Sequence[Sequence[int]]) -> int:
 
 
 def _int_inverse(rows: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
-    """Exact inverse of an integer matrix with determinant +-1."""
-    n = len(rows)
-    aug = [
-        [Fraction(rows[i][j]) for j in range(n)]
-        + [Fraction(1 if i == j else 0) for j in range(n)]
-        for i in range(n)
-    ]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
-            raise DomainError("linear part is singular")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        pv = aug[col][col]
-        aug[col] = [v / pv for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    inv = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            v = aug[i][n + j]
-            if v.denominator != 1:
-                raise DomainError("inverse is not integral; determinant must be +-1")
-            row.append(int(v))
-        inv.append(tuple(row))
-    return tuple(inv)
+    """Exact inverse ``det * adj`` of an integer matrix with determinant +-1."""
+    n, det = len(rows), _int_det(rows)
+
+    def cofactor(i: int, j: int) -> int:
+        minor = [row[:j] + row[j + 1 :] for k, row in enumerate(rows) if k != i]
+        return (-1) ** (i + j) * (_int_det(minor) if minor else 1)
+
+    return tuple(tuple(det * cofactor(j, i) for j in range(n)) for i in range(n))
 
 
 @dataclass(frozen=True)
@@ -258,9 +237,6 @@ class Region:
 
     def __contains__(self, x) -> bool:
         return _as_point(x) in self.points
-
-    def image(self, m: AffineLatticeMap) -> "Region":
-        return Region(frozenset(m.apply(p) for p in self.points))
 
 
 def _power(m: AffineLatticeMap, k: int) -> AffineLatticeMap:

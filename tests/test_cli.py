@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import importlib.util
 import json
@@ -6,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from wcodyn import cli
+from wcodyn import cli, config
 from wcodyn.cli import (
     EXIT_CERT_FAILED,
     EXIT_ERROR,
@@ -18,7 +19,9 @@ from wcodyn.cli import (
     main,
     run_scenario,
 )
-from wcodyn.config import ConfigError, load_config, parse_config
+from wcodyn.config import ConfigError, ScenarioConfig, load_config, parse_config
+from wcodyn.criteria import DisjointSystem, OperatorFamily, Scenario
+from wcodyn.operators import WeightedCompositionOperator
 from wcodyn.witness import WitnessAudit
 
 
@@ -185,6 +188,9 @@ def test_horizon_and_tol_overrides(tmp_path):
         ["decaying-weight-shift", "--horizon", "0"],
         ["decaying-weight-shift", "--tol", "0"],
         ["semi-shift-family", "--epsilon", "0"],
+        ["semi-shift-family", "--horizon", "0"],
+        ["semi-shift-family", "--tol", "5"],
+        ["decaying-weight-shift", "--epsilon", "7"],
     ],
 )
 def test_zero_overrides_are_not_ignored(argv, capsys):
@@ -344,3 +350,94 @@ def test_morrey_shear_warning():
     )
     cfg = parse_config(doc)
     assert any("signed permutation" in w for w in cfg.warnings())
+
+
+DISJOINT_DOC = _bundled_doc("disjoint-decaying-shifts")
+SEMI_DOC = _bundled_doc("semi-shift-family")
+
+
+@pytest.mark.parametrize(
+    "doc, field",
+    [
+        (dict(DISJOINT_DOC, powers=3), "powers"),
+        (dict(DISJOINT_DOC, powers=[2, 1]), "powers"),
+        (dict(DISJOINT_DOC, powers=[0, 1]), "powers"),
+        (dict(SEMI_DOC, index_range=5), "index_range"),
+        (dict(SEMI_DOC, family=dict(SEMI_DOC["family"], direction=-1)), "family.direction"),
+        (dict(TRANSITIVE_DOC, operator=dict(TRANSITIVE_DOC["operator"], map={"offset": -1})),
+         "operator.map.offset"),
+        (dict(TRANSITIVE_DOC, K={"box": [[-5]]}), "K.box"),
+        (dict(TRANSITIVE_DOC, domain=[1]), "domain"),
+    ],
+)
+def test_malformed_fields_are_config_errors(doc, field, tmp_path, capsys):
+    with pytest.raises(ConfigError) as exc:
+        parse_config(doc)
+    assert exc.value.field == field
+    assert main([str(write_config(tmp_path, doc))]) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith(f"wcodyn: error: {field}: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("source", ["values", "csv"])
+def test_table_rows_must_match_the_dimension(source, tmp_path, capsys):
+    # a 2-D table with a default in a 1-D scenario would otherwise run with
+    # the default everywhere
+    rows = [[x, y, 1.0] for x in range(-3, 4) for y in range(-3, 4)]
+    (tmp_path / "eta.csv").write_text("".join(f"{x},{y},{v}\n" for x, y, v in rows))
+    table = {"values": rows} if source == "values" else {"csv": "eta.csv"}
+    path = write_config(tmp_path, dict(TRANSITIVE_DOC, eta=dict(kind="table", default=0.5, **table)))
+    field = "eta.values[0]" if source == "values" else "eta.csv row 1"
+    with pytest.raises(ConfigError, match="expected 1 coordinates") as exc:
+        load_config(path)
+    assert exc.value.field == field
+    assert main([str(path)]) == EXIT_ERROR
+    assert f"wcodyn: error: {field}: " in capsys.readouterr().err
+
+
+def test_mode_override_keeps_the_config_directory(tmp_path, monkeypatch):
+    # the CSV weight sits next to the config; run from elsewhere with the
+    # mode switched, parsing the document once
+    (tmp_path / "cfg").mkdir()
+    rows = "".join(f"{x},{1.0 / max(1, abs(x))}\n" for x in range(-200, 201))
+    (tmp_path / "cfg" / "eta.csv").write_text(rows)
+    doc = dict(TRANSITIVE_DOC, **{k: SEMI_DOC[k] for k in ("family", "n_ops", "index_range", "epsilon")})
+    doc.update(name="csv-semi", eta={"kind": "table", "csv": "eta.csv", "default": 0.001})
+    path = write_config(tmp_path / "cfg", doc)
+    write_config(tmp_path / "cfg", dict(doc, mode="semi"), name="direct.json")
+    monkeypatch.chdir(tmp_path)
+    assert main([str(path.parent / "direct.json"), "--out", "a"]) == EXIT_FOUND
+
+    calls = []
+
+    def counting(*args, _parse=parse_config, **kwargs):
+        calls.append(args)
+        return _parse(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "parse_config", counting)
+    monkeypatch.setattr(config, "parse_config", counting)
+    assert main([str(path), "--mode", "semi", "--out", "b"]) == EXIT_FOUND
+    assert len(calls) == 1
+    for suffix in ("report.json", "curves.csv"):
+        name = f"csv-semi.{suffix}"
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def test_parse_builds_the_system_and_run_builds_nothing(monkeypatch):
+    gone = {"dimension", "scale", "operators", "powers", "n_ops", "family_direction",
+            "family_symbol", "index_range"}
+    assert gone.isdisjoint(f.name for f in dataclasses.fields(ScenarioConfig))
+    names = ("decaying-weight-shift", "disjoint-decaying-shifts", "semi-shift-family")
+    cfgs = [load_bundled(name) for name in names]
+    for cfg, cls in zip(cfgs, (Scenario, DisjointSystem, OperatorFamily)):
+        assert isinstance(cfg.system, cls) and cfg.build() is cfg.system
+    built = []
+    for cls in (WeightedCompositionOperator, Scenario, DisjointSystem, OperatorFamily):
+        def counting(self, _init=cls.__post_init__):
+            built.append(type(self).__name__)
+            _init(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counting)
+    for cfg in cfgs:
+        run_scenario(cfg)
+    assert built == []

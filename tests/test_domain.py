@@ -88,6 +88,21 @@ class TestMapValidation:
         both = m.compose(m.inverse)
         assert both.apply((5, 11)) == (5, 11)
 
+    @given(st.data())
+    def test_inverse_is_two_sided_in_1_to_4_dims(self, data):
+        # row operations on the identity (signed permutations, shears) give
+        # every unimodular matrix; the inverse is ``det * adj``
+        d = data.draw(st.integers(1, 4))
+        lin = [[int(r == c) for c in range(d)] for r in range(d)]
+        lin = [lin[p] for p in data.draw(st.permutations(range(d)))]
+        for _ in range(data.draw(st.integers(0, 6))):
+            i, j = data.draw(st.integers(0, d - 1)), data.draw(st.integers(0, d - 1))
+            a = data.draw(st.integers(-3, 3))
+            lin[i] = [-v for v in lin[i]] if i == j else [u + a * v for u, v in zip(lin[i], lin[j])]
+        m = AffineLatticeMap(tuple(map(tuple, lin)), data.draw(st.tuples(*[st.integers(-9, 9)] * d)))
+        eye = AffineLatticeMap.identity(d)
+        assert m.compose(m.inverse) == eye == m.inverse.compose(m)
+
     def test_apply_many_matches_scalar(self):
         m = AffineLatticeMap(((0, -1), (1, 0)), (1, 2))
         pts = [(0, 0), (3, -4), (-2, 5)]
