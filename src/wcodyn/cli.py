@@ -1,8 +1,9 @@
 """Scenario front end: run declarative configs, emit JSON reports and CSV curves.
 
 Exit status encodes the verdict class: 0 when a witness sequence or tail was
-found, 2 for a no-witness/no-tail verdict, 1 for config or validation errors,
-and 3 when a witness was found but its certification failed.
+found, 2 for a no-witness/no-tail verdict, 1 for config or validation errors
+and for outputs that cannot be written, and 3 when a witness was found but its
+certification failed.
 Re-running the same config produces byte-identical outputs (no timestamps,
 sorted keys, shortest-roundtrip floats).
 """
@@ -204,7 +205,7 @@ def main(argv: Optional[list] = None) -> int:
             tol=args.tol,
             epsilon=args.epsilon,
         )
-    except (ConfigError, CriterionError, WeightError, OperatorError, DomainError) as exc:
+    except (ConfigError, CriterionError, WeightError, OperatorError, DomainError, OSError) as exc:
         print(f"wcodyn: error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -107,31 +107,47 @@ def parse_norm(d: dict, path: str = "norm"):
     raise ConfigError(f"{path}.kind", f"unknown norm kind {kind!r}")
 
 
-def _table_entry(row, field: str, dimension: Optional[int]) -> tuple:
-    """``(point, value)`` of a weight-table row ``x_1, ..., x_d, value``."""
-    if not isinstance(row, list) or len(row) < 2 or dimension not in (None, len(row) - 1):
-        raise ConfigError(field, f"expected {dimension or 'd'} coordinates and a value, got {row!r}")
-    return tuple(int(_as_number(c, field)) for c in row[:-1]), _as_number(row[-1], field)
-
-
-def _load_table_csv(path: Path, field: str, dimension: Optional[int]) -> dict:
+def _table(rows, dimension: Optional[int]) -> dict:
+    """The weight table of ``(field, row)`` pairs, each row ``x_1, ..., x_d, value``
+    with integer coordinates and a point no earlier row gave."""
     table = {}
+    for field, row in rows:
+        if not isinstance(row, list) or len(row) < 2 or dimension not in (None, len(row) - 1):
+            raise ConfigError(field, f"expected {dimension or 'd'} coordinates and a value, got {row!r}")
+        pt = tuple(_as_int(c, field) for c in row[:-1])
+        if pt in table:
+            raise ConfigError(field, f"repeats the point {pt} of an earlier row")
+        table[pt] = _as_number(row[-1], field)
+    return table
+
+
+def _csv_number(cell: str):
+    """The number in a csv cell, an int when its value is integral."""
+    try:
+        return int(cell)
+    except ValueError:
+        v = float(cell)
+        return int(v) if v.is_integer() else v
+
+
+def _csv_rows(path: Path, field: str) -> list:
+    """``(field, row)`` pairs of the numeric rows of a weight-table csv; a
+    first row that is not numeric is a header."""
     try:
         with open(path, newline="") as fh:
-            for i, row in enumerate(csv.reader(fh)):
-                if not row:
-                    continue
-                try:
-                    nums = [float(c) for c in row]
-                except ValueError:
-                    if i == 0:
-                        continue  # header row
-                    raise ConfigError(field, f"non-numeric row {i + 1} in {path}")
-                pt, value = _table_entry(nums, f"{field} row {i + 1}", dimension)
-                table[pt] = value
+            lines = list(csv.reader(fh))
     except OSError as exc:
         raise ConfigError(field, f"cannot read weight table: {exc}") from exc
-    return table
+    rows = []
+    for i, row in enumerate(lines):
+        if not row:
+            continue
+        try:
+            rows.append((f"{field} row {i + 1}", [_csv_number(c) for c in row]))
+        except ValueError:
+            if i > 0:
+                raise ConfigError(field, f"non-numeric row {i + 1} in {path}")
+    return rows
 
 
 def parse_weight(d: dict, path: str, scale: float = 1.0, base_dir: Optional[Path] = None) -> Weight:
@@ -155,14 +171,11 @@ def _parse_weight(d: dict, path: str, scale: float, base_dir: Optional[Path],
             if default is not None:
                 default = _as_number(default, f"{path}.default")
             if "csv" in d:
-                base = base_dir or Path.cwd()
-                table = _load_table_csv(base / d["csv"], f"{path}.csv", dimension)
+                rows = _csv_rows((base_dir or Path.cwd()) / d["csv"], f"{path}.csv")
             else:
-                rows = _as_list(_need(d, "values", path), f"{path}.values")
-                table = dict(
-                    _table_entry(row, f"{path}.values[{i}]", dimension) for i, row in enumerate(rows)
-                )
-            return TableWeight(table, default=default)
+                values = _as_list(_need(d, "values", path), f"{path}.values")
+                rows = [(f"{path}.values[{i}]", row) for i, row in enumerate(values)]
+            return TableWeight(_table(rows, dimension), default=default)
         if kind == "product":
             factors = tuple(
                 _parse_weight(fd, f"{path}.factors[{i}]", scale, base_dir, dimension)
@@ -252,6 +265,8 @@ def parse_config(doc: dict, base_dir: Optional[Path] = None) -> ScenarioConfig:
     if not isinstance(doc, dict):
         raise ConfigError("", "config must be a JSON object")
     name = doc.get("name", "scenario")
+    if not isinstance(name, str) or name in ("", ".", "..") or any(c in name for c in "/\\"):
+        raise ConfigError("name", f"must be one file name (no '/' or '\\', not '.' or '..'), got {name!r}")
     mode = _need(doc, "mode", "")
     if mode not in MODES:
         raise ConfigError("mode", f"must be one of {MODES}, got {mode!r}")

@@ -14,10 +14,12 @@ the row.
 them against a-priori bounds assembled from the report's own sup terms,
 which is the operational soundness content of a found witness.
 
-The feasibility oracle answers a single approximation question — is there an
-``h`` with ``||h - f|| < eps`` and ``||T^n h - g|| < eps`` — first with the
-witness-guided candidate, then with alternating radial projections onto the
-two constraint balls.  An inconclusive answer is a value, not an error.
+The feasibility oracle answers one approximation question — is there an
+``h`` with ``||h - f|| < eps`` and ``||T^n h - g|| < eps`` — with ``h = f``,
+then with the assembly above over sets ``E`` thresholded on lambda from the
+vectorised orbit walk, then with alternating radial projections.  An
+inconclusive answer is a value, not an error: it gives the projection rounds
+run and the best residual pair seen.
 """
 
 from __future__ import annotations
@@ -26,14 +28,14 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .criteria import (
     EpsilonReport,
     OperatorFamily,
     Scenario,
     _as_system,
     _Record,
-    lambda_backward,
-    lambda_forward,
 )
 from .domain import Region
 from .operators import OperatorError, WeightedCompositionOperator
@@ -297,87 +299,76 @@ def feasibility_oracle(
 ) -> OracleResult:
     """Search for ``h`` with ``||h - f|| < eps`` and ``||T^n h - g|| < eps``.
 
-    Both norms are the scenario's weighted norm.  The search tries the
-    witness-guided candidates ``f * chi_E + S^n(g * chi_E)`` over a ladder of
-    threshold sets ``E`` first, then falls back to alternating radial
-    projections onto the two constraint balls (the radial scaling is exact
-    for every norm by absolute homogeneity).  Every feasible answer is
-    re-checked by direct norm evaluation before being returned.
+    Both norms are the scenario's weighted norm.  After ``h = f`` come the
+    certification assembly's candidates ``f chi_E + S^n(g chi_E)`` (see
+    :func:`_assemble`) over a dyadic ladder of sets ``E ⊆ supp f ∪ supp g``,
+    thresholded on lambda from one vectorised walk of ``n`` steps each way,
+    then at most ``max_iters`` rounds of alternating radial projections onto
+    the two constraint balls (exact for every norm by homogeneity) from the
+    best point seen.  Each residual is one direct norm evaluation.  An
+    inconclusive answer reports the rounds run and the best residual pair.
     """
     if eps <= 0:
         raise WitnessError("eps must be positive")
-    op = scenario.operator
-    wn = lambda h: weighted_norm(scenario.norm, scenario.eta, h)
+    if n < 1:
+        raise WitnessError("n must be >= 1")
+    norm_spec, eta, op = scenario.norm, scenario.eta, scenario.operator
+    wn = lambda h: weighted_norm(norm_spec, eta, h)
+    best = (0.0, math.inf, f)  # residual pair and point of the best candidate seen
 
-    def residuals(h):
-        try:
-            img = op.iterate(n, h)
-        except OperatorError:
-            return math.inf, math.inf
-        return wn(h - f), wn(img - g)
-
-    def accept(h, method, iterations=0):
-        r1, r2 = residuals(h)
+    def settle(h, r1, r2, method, rounds=0):
+        nonlocal best
         if r1 < eps and r2 < eps:
-            return OracleResult(True, h, r1, r2, method, iterations)
+            return OracleResult(True, h, r1, r2, method, rounds)
+        if max(r1, r2) < max(best[:2]):
+            best = (r1, r2, h)
         return None
 
-    res = accept(f, "exact")
-    if res:
-        return res
+    try:
+        if res := settle(f, 0.0, wn(op.iterate(n, f) - g), "exact"):
+            return res
+    except OperatorError:
+        pass
 
-    # Witness-guided candidates over a dyadic threshold ladder.
     K = sorted(f.support | g.support)
-    best = None
-    best_val = math.inf
-    if K:
-        lam_f = {x: lambda_forward(scenario, n, x) for x in K}
-        lam_b = {x: lambda_backward(scenario, n, x) for x in K}
-        seen = set()
-        taus = [math.inf] + [2.0 ** (-k) for k in range(0, 50)]
-        for tau in taus:
-            E = tuple(x for x in K if lam_f[x] <= tau and lam_b[x] <= tau)
-            if E in seen:
-                continue
-            seen.add(E)
-            try:
-                h = f.restrict(E) + op.iterate(-n, g.restrict(E))
-            except OperatorError:
-                continue
-            res = accept(h, "witness-guided")
-            if res:
-                return res
-            r1, r2 = residuals(h)
-            val = max(r1, r2)
-            if val < best_val:
-                best, best_val = h, val
+    fwd = np.array(K, dtype=np.int64)
+    bwd = fwd.copy()
+    acc_f, acc_b = np.zeros(len(K)), np.zeros(len(K))
+    op.walk(fwd, acc_f, n)
+    op.walk(bwd, acc_b, n, backward=True)
+    with np.errstate(over="ignore", under="ignore"):
+        lam = np.maximum(eta.values(fwd) * np.exp(-acc_f), eta.values(bwd) * np.exp(acc_b))
+    taus = [math.inf] + [2.0 ** (-k) for k in range(50)]
+    for E in dict.fromkeys(tuple(x for x, v in zip(K, lam) if v <= tau) for tau in taus):
+        try:
+            wv = _assemble(norm_spec, eta, (op,), (n,), E, f, (g,), stage=0, n=n)
+        except OperatorError:
+            continue
+        if res := settle(wv.vector, wv.residual_source, wv.residual_targets[0], "witness-guided"):
+            return res
 
-    # Alternating radial projections onto the two constraint balls.
-    h = best if best is not None else f
+    r1, _, h = best
     eps_eff = eps * (1.0 - 1e-9)
     prev = math.inf
-    for it in range(1, max_iters + 1):
-        d = h - f
-        r = wn(d)
-        if r > eps_eff:
-            h = f + (eps_eff / r) * d
+    rounds = 0
+    for rounds in range(1, max_iters + 1):
+        if r1 > eps_eff:
+            h = f + (eps_eff / r1) * (h - f)
         try:
-            u = op.iterate(n, h)
-            du = u - g
-            r = wn(du)
-            if r > eps_eff:
-                h = op.iterate(-n, g + (eps_eff / r) * du)
+            du = op.iterate(n, h) - g
+            r2 = wn(du)
+            if r2 > eps_eff:
+                h = op.iterate(-n, g + (eps_eff / r2) * du)
+                r2 = wn(op.iterate(n, h) - g)
         except OperatorError:
             break
-        r1, r2 = residuals(h)
-        if r1 < eps and r2 < eps:
-            return OracleResult(True, h, r1, r2, "projection", it)
-        val = max(r1, r2)
-        if prev - val < 1e-12 * max(prev, 1.0):
+        r1 = wn(h - f)
+        if res := settle(h, r1, r2, "projection", rounds):
+            return res
+        if prev - max(r1, r2) < 1e-12 * max(prev, 1.0):
             break  # stalled
-        prev = val
-    r1, r2 = residuals(h)
-    return OracleResult(False, None, r1, r2, "inconclusive", max_iters)
+        prev = max(r1, r2)
+    return OracleResult(False, None, *best[:2], "inconclusive", rounds)
 
 
 def epsilon_for_gap(delta: float, n_ops: int, m_K: float, c_sup: float) -> float:

@@ -395,6 +395,58 @@ def test_table_rows_must_match_the_dimension(source, tmp_path, capsys):
     assert f"wcodyn: error: {field}: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("source", ["values", "csv"])
+@pytest.mark.parametrize(
+    "rows, field, message",
+    [
+        ([[1.5, 2.0], [2, 3.0]], 0, "expected an integer, got 1.5"),
+        ([[1, 2.0], [0, 1.0], [1, 3.0]], 2, r"repeats the point \(1,\)"),
+    ],
+)
+def test_table_points_are_integral_and_distinct(source, rows, field, message, tmp_path, capsys):
+    # a coordinate 1.5 was truncated to 1, and a repeated point overwrote
+    # the earlier row
+    (tmp_path / "eta.csv").write_text("x,value\n" + "".join(f"{x},{v}\n" for x, v in rows))
+    table = {"values": rows} if source == "values" else {"csv": "eta.csv"}
+    path = write_config(tmp_path, dict(TRANSITIVE_DOC, eta=dict(kind="table", default=0.5, **table)))
+    field = f"eta.values[{field}]" if source == "values" else f"eta.csv row {field + 2}"
+    with pytest.raises(ConfigError, match=message) as exc:
+        load_config(path)
+    assert exc.value.field == field
+    assert main([str(path)]) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith(f"wcodyn: error: {field}: ") and "Traceback" not in err
+
+
+def test_csv_coordinates_may_be_written_as_integral_floats(tmp_path):
+    (tmp_path / "eta.csv").write_text("-1.0,0.5\n0,1\n1e0,0.25\n")
+    doc = dict(TRANSITIVE_DOC, eta={"kind": "table", "csv": "eta.csv", "default": 1.0})
+    eta = load_config(write_config(tmp_path, doc)).eta
+    assert [eta.value_at((x,)) for x in (-1, 0, 1)] == [0.5, 1.0, 0.25]
+
+
+@pytest.mark.parametrize("name", ["../x", "sub/x", "sub\\x", ".", "..", "", 7])
+def test_name_must_be_one_file_name(name, tmp_path, capsys, monkeypatch):
+    doc = dict(TRANSITIVE_DOC, name=name, horizon=50)
+    with pytest.raises(ConfigError) as exc:
+        parse_config(doc)
+    assert exc.value.field == "name"
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "in").mkdir()
+    assert main([str(write_config(tmp_path / "in", doc)), "--out", "out"]) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("wcodyn: error: name: ") and "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in"]
+
+
+def test_unwritable_outputs_exit_1(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert main(["decaying-weight-shift", "--horizon", "50", "--out", str(blocker)]) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("wcodyn: error: ") and str(blocker) in err and "Traceback" not in err
+
+
 def test_mode_override_keeps_the_config_directory(tmp_path, monkeypatch):
     # the CSV weight sits next to the config; run from elsewhere with the
     # mode switched, parsing the document once

@@ -16,7 +16,7 @@ DEMO_SHA256 = {
     "02_operator_orbits.py": "598a794ed7f08c0f514b378a7e6be915a777eeb58fd62c92339eb953769ef3d4",
     "03_transitivity_check.py": "a36230e1486e67be97bdae0bb4fa50901131afed203b8aec25bc0e4ca9b8c823",
     "04_disjoint_and_semi.py": "c1b857ee8165af7bfc8e1d2d45ed8bd8d09d3593b2dcdf444eade1c44588a56e",
-    "05_witness_and_oracle.py": "6715038cbc7bdbf988fb7060d1d08f899dc503e7cf344b959f9dd9cd8831c6c5",
+    "05_witness_and_oracle.py": "f4f5e8b97a88ba6a18d86599b7d49884ffef3db87e62bfc2fae2c34dafd39d3f",
 }
 
 

@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from wcodyn import criteria
 from wcodyn.criteria import (
     CriterionReport,
     CriterionStage,
@@ -12,6 +14,8 @@ from wcodyn.criteria import (
     check_disjoint_transitivity,
     check_semi_transitivity,
     check_transitivity,
+    lambda_backward,
+    lambda_forward,
 )
 from wcodyn.domain import AffineLatticeMap, Region, iterate_point
 from wcodyn.operators import WeightedCompositionOperator
@@ -20,6 +24,7 @@ from wcodyn.spaces import (
     EllPNorm,
     RadialPowerWeight,
     SampleFunction,
+    TableWeight,
     norm,
     weighted_norm,
 )
@@ -331,6 +336,121 @@ class TestFeasibilityOracle:
     def test_eps_must_be_positive(self):
         with pytest.raises(WitnessError):
             feasibility_oracle(make_scenario(), 3, chi(0), chi(0), eps=0.0)
+
+    def test_n_must_be_positive(self):
+        with pytest.raises(WitnessError, match="n must be"):
+            feasibility_oracle(make_scenario(), 0, chi(0), chi(0), eps=0.5)
+
+    def test_inconclusive_reports_rounds_run_and_best_pair(self):
+        # under the flat shift the projections stall after two rounds; the
+        # first ladder candidate chi_0 + chi_10, at (1, 1), beats every round
+        scn = make_scenario(eta=ConstantWeight(1.0))
+        res = feasibility_oracle(scn, 10, chi(0), chi(0), eps=0.4, max_iters=200)
+        assert (res.feasible, res.method, res.iterations) == (False, "inconclusive", 2)
+        assert (res.residual_source, res.residual_target) == (1.0, 1.0)
+
+    def test_answers_without_the_scalar_reference_path(self, monkeypatch):
+        # a 2-D shear with a table symbol: the ladder's quantities come from
+        # the vectorised walk, so the exact scalar path is never entered
+        region = Region.box([[-4, 4]] * 2)
+        inner = Region.box([[-2, 2]] * 2).sorted_points()
+        symbol = TableWeight({pt: 0.5 + 0.05 * i for i, pt in enumerate(inner)}, default=1.0)
+        op = WeightedCompositionOperator(AffineLatticeMap(((1, 1), (0, 1)), (0, 1)), symbol, region)
+        scn = Scenario(EllPNorm(1), RadialPowerWeight(p=2), op, region)
+        f = flatten(SampleFunction.indicator(Region.box([[-1, 1]] * 2)), scn.eta)
+
+        def scalar_path(*args, **kwargs):
+            raise AssertionError("the oracle entered the scalar reference path")
+
+        monkeypatch.setattr(criteria, "lambda_forward", scalar_path)
+        monkeypatch.setattr(criteria, "lambda_backward", scalar_path)
+        monkeypatch.setattr(AffineLatticeMap, "apply", scalar_path)
+        res = feasibility_oracle(scn, 12, f, f, eps=0.5)
+        assert res.feasible and res.method == "witness-guided"
+        h = res.point
+        assert res.residual_source == weighted_norm(scn.norm, scn.eta, h - f) < 0.5
+        assert res.residual_target == weighted_norm(scn.norm, scn.eta, op.iterate(12, h) - f) < 0.5
+
+
+# Translations, glides, shears and signed permutations of Z and Z^2.
+MAP_LINEAR_PARTS = {
+    1: [((1,),), ((-1,),)],
+    2: [
+        ((1, 0), (0, 1)),
+        ((1, 0), (0, -1)),
+        ((1, 1), (0, 1)),
+        ((1, -2), (0, 1)),
+        ((0, 1), (1, 0)),
+        ((0, -1), (1, 0)),
+    ],
+}
+
+
+@st.composite
+def oracle_questions(draw):
+    dim = draw(st.sampled_from([1, 2]))
+    region = Region.box([[-4, 4]] * dim)
+    kind = draw(st.sampled_from(["constant", "table", "radial"]))
+    if kind == "constant":
+        symbol = ConstantWeight(draw(st.sampled_from([0.5, 1.0, 2.0])))
+    elif kind == "table":
+        entries = st.floats(0.25, 4.0, allow_nan=False)
+        symbol = TableWeight(
+            {pt: draw(entries) for pt in Region.box([[-2, 2]] * dim).sorted_points()}, default=1.0
+        )
+    else:
+        symbol = RadialPowerWeight(p=draw(st.sampled_from([0.5, 1.0])))
+    linear = draw(st.sampled_from(MAP_LINEAR_PARTS[dim]))
+    offset = draw(st.tuples(*[st.integers(-3, 3)] * dim))
+    op = WeightedCompositionOperator(AffineLatticeMap(linear, offset), symbol, region)
+    scn = Scenario(draw(st.sampled_from([EllPNorm(1), EllPNorm(2)])),
+                   RadialPowerWeight(p=draw(st.sampled_from([1.0, 2.0]))), op, region)
+    pts = st.tuples(*[st.integers(-2, 2)] * dim)
+    vals = st.floats(-2.0, 2.0, allow_nan=False).filter(lambda v: abs(v) > 1e-3)
+    f, g = (SampleFunction(draw(st.dictionaries(pts, vals, min_size=1, max_size=4)))
+            for _ in range(2))
+    n = draw(st.integers(1, 40))
+    eps = draw(st.sampled_from([0.05, 0.3, 1.0, 3.0]))
+    return scn, n, f, g, eps
+
+
+def reference_ladder(scn, n, f, g, eps):
+    """``(method, residual pair, point)`` of the first of ``h = f`` and the
+    ladder candidates within ``eps`` of both constraints, with the ladder
+    thresholded on the exact scalar quantities; ``None`` when none is."""
+    op = scn.operator
+    wn = lambda h: weighted_norm(scn.norm, scn.eta, h)
+    r2 = wn(op.iterate(n, f) - g)
+    if r2 < eps:
+        return "exact", 0.0, r2, f
+    K = sorted(f.support | g.support)
+    lam = [max(lambda_forward(scn, n, x), lambda_backward(scn, n, x)) for x in K]
+    taus = [math.inf] + [2.0 ** (-k) for k in range(50)]
+    # the vectorised and scalar weights may differ in the last bits
+    assume(not any(abs(v - t) <= 1e-12 * t for v in lam for t in taus[1:]))
+    candidates = []
+    for tau in taus:
+        E = tuple(x for x, v in zip(K, lam) if v <= tau)
+        if E not in candidates:
+            candidates.append(E)
+    for E in candidates:
+        h = f.restrict(E) + op.iterate(-n, g.restrict(E))
+        r1, r2 = wn(h - f), wn(op.iterate(n, h) - g)
+        if r1 < eps and r2 < eps:
+            return "witness-guided", r1, r2, h
+    return None
+
+
+@given(oracle_questions())
+@settings(deadline=None, max_examples=80)
+def test_oracle_matches_the_scalar_reference_ladder(question):
+    scn, n, f, g, eps = question
+    want = reference_ladder(scn, n, f, g, eps)
+    res = feasibility_oracle(scn, n, f, g, eps, max_iters=3)
+    if want is None:
+        assert res.method in ("projection", "inconclusive")
+    else:
+        assert (res.method, res.residual_source, res.residual_target, res.point) == want
 
 
 def test_epsilon_for_gap_formula():
