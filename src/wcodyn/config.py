@@ -134,9 +134,9 @@ def _csv_rows(path: Path, field: str) -> list:
     """``(field, row)`` pairs of the numeric rows of a weight-table csv; a
     first row that is not numeric is a header."""
     try:
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8") as fh:
             lines = list(csv.reader(fh))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(field, f"cannot read weight table: {exc}") from exc
     rows = []
     for i, row in enumerate(lines):
@@ -351,9 +351,11 @@ def parse_config(doc: dict, base_dir: Optional[Path] = None) -> ScenarioConfig:
 def _read_doc(path: Path):
     """The JSON document in the file at ``path``."""
     try:
-        return json.loads(path.read_text())
+        return json.loads(path.read_text(encoding="utf-8"))
     except OSError as exc:
         raise ConfigError("", f"cannot read config: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError("", f"config {path} is not UTF-8: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError("", f"invalid JSON: {exc}") from exc
 

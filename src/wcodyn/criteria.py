@@ -31,6 +31,7 @@ import numpy as np
 from .domain import (
     AffineLatticeMap,
     Region,
+    _int64_rows,
     _last_meeting,
     aperiodicity_bound,
     disjoint_aperiodicity_bound,
@@ -475,7 +476,7 @@ def _scan(norm, eta, ops, powers, K: Region, horizon: int, tol: float, start: in
     """
     m_K = inf_weight_on(eta, K)
     sorted_pts = K.sorted_points()
-    pts = np.array(sorted_pts, dtype=np.int64)
+    pts = _int64_rows(sorted_pts)
     fwd_pts = [pts.copy() for _ in ops]
     bwd_pts = [pts.copy() for _ in ops]
     fwd_acc = [np.zeros(len(pts)) for _ in ops]
@@ -625,7 +626,7 @@ def check_semi_transitivity(
     guard = 1.0 - 1e-12
     chi = _ChiNormCache(family.norm)
     sorted_pts = K.sorted_points()
-    pts = np.array(sorted_pts, dtype=np.int64)
+    pts = _int64_rows(sorted_pts)
     pairs = _pairs(N)
 
     rows: list = []

@@ -277,7 +277,6 @@ def iterate_point(m: AffineLatticeMap, n: int, x: Sequence[int]) -> Point:
 # would leave its a-priori range.  For translations the walk stops where no
 # image can reach ``K`` or another image any more.
 
-_INT64_SAFE = 2**61  # |coordinate| bound under which differences fit in int64
 _BLOCK = 64  # iterates per orbit block
 _BLOCK_CELLS = 2**20  # cap on B |K| d, the int64 entries of one block
 
@@ -324,12 +323,11 @@ def _translation_reach(maps, powers, region: Region) -> Optional[int]:
     return max(reach // size for size in sizes)
 
 
-def _int64_rows(region: Region) -> np.ndarray:
-    """The sorted points of ``region`` as an ``(|K|, d)`` int64 array;
-    :class:`DomainError` when a coordinate exceeds ``_INT64_SAFE``."""
-    pts = region.sorted_points()
-    if max(abs(c) for p in pts for c in p) > _INT64_SAFE:
-        raise DomainError("coordinate range exceeded in vectorized bound")
+def _int64_rows(pts: Sequence[Point]) -> np.ndarray:
+    """``pts`` as an ``(m, d)`` int64 array; :class:`DomainError` when a
+    coordinate does not fit in int64."""
+    if any(not -(2**63) <= c < 2**63 for p in pts for c in p):
+        raise DomainError("coordinate does not fit in int64")
     return np.array(pts, dtype=np.int64)
 
 
@@ -378,7 +376,7 @@ def _last_meeting_orbits(maps, powers, region: Region, horizon: int) -> int:
     meet where sorting their rows together puts two equal rows side by side.
     Memory is ``O(B |K| d)``.
     """
-    K = _int64_rows(region)
+    K = _int64_rows(region.sorted_points())
     k, d = K.shape
     index = _RowIndex(region.points)
     size = 1 << (max(1, min(_BLOCK, horizon, _BLOCK_CELLS // (k * d))).bit_length() - 1)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import AffineLatticeMap, Region
+from .domain import AffineLatticeMap, Region, _int64_rows
 from .spaces import (
     SampleFunction,
     Weight,
@@ -106,7 +106,7 @@ class WeightedCompositionOperator:
             return {
                 pt: (math.log(abs(v)), v / abs(v)) for pt, v in items
             }
-        pts = np.array([pt for pt, _ in items], dtype=np.int64)
+        pts = _int64_rows([pt for pt, _ in items])
         acc = np.zeros(len(items))
         # T^n: prod_{j=0..n-1} w(alpha^j(x)) at x = alpha^{-n}(y) equals
         # prod_{i=1..n} w(alpha^{-i}(y)), a backward walk from the support.

@@ -211,9 +211,9 @@ class EllPNorm:
 class OrliczNorm:
     """Luxemburg gauge ``inf{lam > 0 : sum Phi(|f|/lam) <= 1}`` by bisection.
 
-    ``tol`` is the guaranteed bracket width; the bisection actually runs to
-    machine precision so that the norm is monotone in ``|f|`` to ~1e-15,
-    which the solidity axiom relies on.
+    The bisection runs to machine precision so that the norm is monotone in
+    ``|f|`` to ~1e-15, which the solidity axiom relies on; ``tol`` is only
+    validated and echoed by :meth:`describe`.
     """
 
     young: object = PowerYoung(2.0)
@@ -258,9 +258,10 @@ class MorreyNorm:
     """Discrete Morrey norm: sup over lattice cubes ``B`` of
     ``|B|^(1/p - 1/q) * (sum_{x in B} |f(x)|^q)^(1/q)``.
 
-    Cubes are ``l^inf`` balls with radius ``0..max_radius`` and centers in the
-    support bounding box dilated by ``max_radius``, which makes the supremum
-    finite, reproducible, and translation invariant.
+    The sup runs over all ``l^inf`` balls of radius ``0..max_radius``, so it
+    is finite, reproducible and translation invariant.  Only balls centred
+    within ``max_radius`` of the support hold mass: the cost is
+    ``O(|supp| (2 max_radius + 1)^d)`` however far apart the points lie.
     """
 
     p: float = 2.0
@@ -285,29 +286,19 @@ class MorreyNorm:
         mags_q = np.array([abs(v) ** self.q for _, v in items])
         d = pts.shape[1]
         r_max = self.max_radius
-        lo = pts.min(axis=0) - r_max
-        hi = pts.max(axis=0) + r_max
-        sizes = np.array(
-            [(2 * r + 1) ** d for r in range(r_max + 1)], dtype=np.float64
+        weights = ((2 * np.arange(r_max + 1) + 1) ** d) ** (1.0 / self.p - 1.0 / self.q)
+        axis = np.arange(-r_max, r_max + 1)
+        offsets = np.stack(np.meshgrid(*[axis] * d, indexing="ij"), axis=-1).reshape(-1, d)
+        # Point x puts its mass into bucket (x + o, |o|_inf) for every offset o;
+        # np.add.at sums each bucket in support order, then cumsum over radii
+        # (``which`` is flattened because numpy 2.0.0 returns it 2-D).
+        centers, which = np.unique(
+            (pts[:, None, :] + offsets).reshape(-1, d), axis=0, return_inverse=True
         )
-        weights = sizes ** (1.0 / self.p - 1.0 / self.q)
-        best = 0.0
-        # Enumerate centers; per center, bucket support mass by l^inf distance
-        # and take a cumulative sum over radii.
-        for center in np.ndindex(*(hi - lo + 1)):
-            c = np.asarray(center, dtype=np.int64) + lo
-            dist = np.abs(pts - c).max(axis=1)
-            mask = dist <= r_max
-            if not mask.any():
-                continue
-            buckets = np.zeros(r_max + 1)
-            np.add.at(buckets, dist[mask], mags_q[mask])
-            cum = np.cumsum(buckets)
-            vals = weights * cum ** (1.0 / self.q)
-            m = float(vals.max())
-            if m > best:
-                best = m
-        return best
+        mass = np.zeros((len(centers), r_max + 1))
+        rings = np.tile(np.abs(offsets).max(axis=1), len(pts))
+        np.add.at(mass, (which.reshape(-1), rings), np.repeat(mags_q, len(offsets)))
+        return float((weights * np.cumsum(mass, axis=1) ** (1.0 / self.q)).max())
 
     def describe(self) -> dict:
         return {

@@ -37,9 +37,12 @@ from .criteria import (
     _as_system,
     _Record,
 )
-from .domain import Region
+from .domain import Region, _int64_rows
 from .operators import OperatorError, WeightedCompositionOperator
 from .spaces import SampleFunction, Weight, WeightError, norm, weighted_norm
+
+
+_SLACK = 1e-9  # relative float slack of verify_report's residual bounds
 
 
 class WitnessError(ValueError):
@@ -203,7 +206,6 @@ def verify_report(
     report,
     source: Optional[SampleFunction] = None,
     targets: Optional[Sequence[SampleFunction]] = None,
-    slack: float = 1e-9,
 ) -> WitnessAudit:
     """Certify a WitnessFound report by rebuilding every stage's witness.
 
@@ -215,8 +217,9 @@ def verify_report(
                   + sum_{s != l} gamma_{s,l,k} ||g~_s||_F / m_K
 
     where ``f~ = source * eta`` and ``g~_s = target_s * eta`` are the
-    un-flattened approximants.  Defaults certify the canonical choice
-    ``source = targets = chi_K * eta^{-1}``.
+    un-flattened approximants, each bound ``b`` widened to
+    ``b + 1e-9 (1 + b)`` (``_SLACK``) for float rounding.  Defaults certify
+    the canonical choice ``source = targets = chi_K * eta^{-1}``.
     """
     norm_spec, eta, ops, powers = _as_system(system)
     if source is None:
@@ -247,8 +250,8 @@ def verify_report(
                 gam[(s, l)] * g_norm[s] / m_K for s in range(len(ops)) if s != l
             )
             bound_tgt.append(b)
-        ok = wv.residual_source <= bound_src + slack * (1.0 + bound_src) and all(
-            r <= b + slack * (1.0 + b)
+        ok = wv.residual_source <= bound_src + _SLACK * (1.0 + bound_src) and all(
+            r <= b + _SLACK * (1.0 + b)
             for r, b in zip(wv.residual_targets, bound_tgt)
         )
         all_ok = all_ok and ok
@@ -331,7 +334,7 @@ def feasibility_oracle(
         pass
 
     K = sorted(f.support | g.support)
-    fwd = np.array(K, dtype=np.int64)
+    fwd = _int64_rows(K)
     bwd = fwd.copy()
     acc_f, acc_b = np.zeros(len(K)), np.zeros(len(K))
     op.walk(fwd, acc_f, n)

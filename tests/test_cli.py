@@ -447,6 +447,30 @@ def test_unwritable_outputs_exit_1(tmp_path, capsys):
     assert err.startswith("wcodyn: error: ") and str(blocker) in err and "Traceback" not in err
 
 
+def test_non_utf8_config_exits_1(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_bytes(b"\xff\xfe\x00bad")
+    assert main([str(path)]) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("wcodyn: error: ") and str(path) in err and "UTF-8" in err
+
+
+def test_non_utf8_weight_table_exits_1(tmp_path, capsys):
+    (tmp_path / "eta.csv").write_bytes(b"\xff\xfe\x00bad\n0,1.0\n")
+    doc = dict(TRANSITIVE_DOC, eta={"kind": "table", "csv": "eta.csv", "default": 1.0})
+    assert main([str(write_config(tmp_path, doc))]) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("wcodyn: error: eta.csv: ") and "utf-8" in err
+
+
+def test_K_beyond_int64_exits_1(tmp_path, capsys):
+    doc = dict(TRANSITIVE_DOC, K={"box": [[2**63, 2**63 + 2]]}, horizon=50)
+    doc.pop("region")
+    assert main([str(write_config(tmp_path, doc))]) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("wcodyn: error: ") and "int64" in err
+
+
 def test_mode_override_keeps_the_config_directory(tmp_path, monkeypatch):
     # the CSV weight sits next to the config; run from elsewhere with the
     # mode switched, parsing the document once

@@ -393,3 +393,21 @@ def test_large_region_bounds_equal_exact_enumeration(maps, powers):
     # 10001 points: the orbit blocks and the pairwise test stay linear in |K|
     K = Region.box([[-5000, 5000]])
     assert public_bound(maps, powers, K, 20) == enumerated_bound(maps, powers, K, 20)
+
+
+@pytest.mark.parametrize("centre", [2**62 - 2**20, 2**62 + 5], ids=["below", "above"])
+@pytest.mark.parametrize(
+    "maps, powers",
+    [
+        ([shift(-1)], [1]),
+        ([shift(-1), shift(1)], [1, 2]),
+        ([AffineLatticeMap(((-1,),), (3,))], [1]),
+        ([shift(-1), AffineLatticeMap(((-1,),), (2**63 - 1,))], [1, 2]),
+    ],
+    ids=["shift", "opposite-shifts", "reflection", "shift-and-far-reflection"],
+)
+def test_bounds_near_2_62_equal_exact_enumeration(maps, powers, centre):
+    # int64 holds these coordinates; the orbit runs in int64 wherever
+    # apply_many and _RowIndex accept its arithmetic, else falls back
+    K = Region.box([[centre - 3, centre + 3]])
+    assert public_bound(maps, powers, K, 40) == enumerated_bound(maps, powers, K, 40)

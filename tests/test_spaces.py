@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -145,6 +146,32 @@ class TestMorrey:
         assert norm(MorreyNorm(3, 1, 3), f) == pytest.approx(
             brute_morrey(f, 3, 1, 3), rel=1e-12
         )
+
+    @given(st.data())
+    @settings(deadline=None, max_examples=60)
+    def test_matches_brute_force_in_1_to_3_d(self, data):
+        d = data.draw(st.integers(1, 3))
+        r = data.draw(st.integers(0, 4 if d < 3 else 2))
+        spread = data.draw(st.integers(0, 30))
+        far = (spread,) + (0,) * (d - 1)  # the support spans `spread` sites
+        pts = data.draw(st.lists(st.tuples(*[st.integers(0, spread)] * d), max_size=4))
+        value = st.floats(-4, 4) | st.builds(complex, st.floats(-4, 4), st.floats(-4, 4))
+        vals = data.draw(st.lists(value.filter(lambda v: abs(v) > 1e-3), min_size=6, max_size=6))
+        f = SampleFunction(dict(zip([(0,) * d, far, *pts], vals)))
+        p = data.draw(st.floats(1.5, 6))
+        q = data.draw(st.floats(1, p).filter(lambda q: q < p))
+        assert norm(MorreyNorm(p, q, r), f) == pytest.approx(brute_morrey(f, p, q, r), rel=1e-12)
+
+    def test_cost_does_not_grow_with_the_spread(self):
+        # two points share no cube of radius 3 at either spread, so the
+        # values agree; enumerating the bounding box would take minutes
+        values = []
+        for spread in (50, 5000):
+            f = SampleFunction({(0, 0): 1.0, (spread, spread // 3): -0.5j})
+            t0 = time.perf_counter()
+            values.append(norm(MorreyNorm(2, 1, 3), f))
+            assert time.perf_counter() - t0 < 1.0
+        assert values[0] == values[1]
 
     def test_parameter_validation(self):
         with pytest.raises(SpaceError, match="q"):
