@@ -38,7 +38,7 @@ class ConfigError(ValueError):
     """A malformed config; the message names the offending field."""
 
     def __init__(self, field: str, message: str):
-        super().__init__(f"{field}: {message}")
+        super().__init__(f"{field}: {message}" if field else message)
         self.field = field
 
 
@@ -107,13 +107,13 @@ def parse_norm(d: dict, path: str = "norm"):
     raise ConfigError(f"{path}.kind", f"unknown norm kind {kind!r}")
 
 
-def _table(rows, dimension: Optional[int]) -> dict:
+def _table(rows, dimension: int) -> dict:
     """The weight table of ``(field, row)`` pairs, each row ``x_1, ..., x_d, value``
-    with integer coordinates and a point no earlier row gave."""
+    with ``d = dimension`` integer coordinates and a point no earlier row gave."""
     table = {}
     for field, row in rows:
-        if not isinstance(row, list) or len(row) < 2 or dimension not in (None, len(row) - 1):
-            raise ConfigError(field, f"expected {dimension or 'd'} coordinates and a value, got {row!r}")
+        if not isinstance(row, list) or len(row) != dimension + 1:
+            raise ConfigError(field, f"expected {dimension} coordinates and a value, got {row!r}")
         pt = tuple(_as_int(c, field) for c in row[:-1])
         if pt in table:
             raise ConfigError(field, f"repeats the point {pt} of an earlier row")
@@ -150,14 +150,9 @@ def _csv_rows(path: Path, field: str) -> list:
     return rows
 
 
-def parse_weight(d: dict, path: str, scale: float = 1.0, base_dir: Optional[Path] = None) -> Weight:
-    return _parse_weight(d, path, scale, base_dir, None)
-
-
 def _parse_weight(d: dict, path: str, scale: float, base_dir: Optional[Path],
-                  dimension: Optional[int]) -> Weight:
-    """:func:`parse_weight`; table rows must have ``dimension`` coordinates
-    unless it is ``None``."""
+                  dimension: int) -> Weight:
+    """The weight of ``d``; table rows must have ``dimension`` coordinates."""
     kind = _need(d, "kind", path)
     try:
         if kind == "constant":

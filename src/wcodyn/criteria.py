@@ -17,11 +17,14 @@ module), while "no witness up to the horizon" is evidence, not proof.
 All three checkers evaluate their quantities over the sorted points of
 ``K`` as arrays and threshold them through the same helpers; semi mode
 decides separation with the exact routine behind the aperiodicity bounds.
-The scalar ``lambda_*`` and ``gamma_cross`` are the exact reference.
+The scalar ``lambda_*`` and ``gamma_cross`` are the exact reference: all
+three share one walk of a single point in Python integers, independent of
+the vectorised walk the checkers use.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, fields
 from typing import Callable, Optional
@@ -76,12 +79,7 @@ class Scenario:
     region: Region
 
     def __post_init__(self):
-        k = validate_weight(self.eta, self.operator.map, self.region)
-        object.__setattr__(self, "_k_alpha", k)
-
-    @property
-    def k_alpha(self) -> float:
-        return self._k_alpha
+        validate_weight(self.eta, self.operator.map, self.region)
 
     def describe(self) -> dict:
         return {
@@ -164,17 +162,26 @@ class OperatorFamily:
 # Pointwise criterion quantities
 
 
+def _walk_point(op: WeightedCompositionOperator, x, steps: int, backward: bool = False) -> tuple:
+    """``(point, log_sum)`` after ``steps`` steps of ``op`` from ``x`` in exact
+    integers: the scalar reference for :meth:`WeightedCompositionOperator.walk`."""
+    mp = op.map.inverse if backward else op.map
+    p = tuple(int(c) for c in x)
+    acc = 0.0
+    for _ in range(steps):
+        if not backward:
+            acc += op.symbol.log_value_at(p)
+        p = mp.apply(p)
+        if backward:
+            acc += op.symbol.log_value_at(p)
+    return p, acc
+
+
 def lambda_forward(scenario: Scenario, n: int, x) -> float:
     """``eta(alpha^n(x)) * prod_{j=0..n-1} w(alpha^j(x))^{-1}`` in log space."""
     if n < 1:
         raise CriterionError("n must be >= 1")
-    m = scenario.operator.map
-    w = scenario.operator.symbol
-    p = tuple(int(c) for c in x)
-    acc = 0.0
-    for _ in range(n):
-        acc += w.log_value_at(p)
-        p = m.apply(p)
+    p, acc = _walk_point(scenario.operator, x, n)
     return scenario.eta.value_at(p) * _safe_exp(-acc)
 
 
@@ -182,13 +189,7 @@ def lambda_backward(scenario: Scenario, n: int, x) -> float:
     """``eta(alpha^{-n}(x)) * prod_{j=1..n} w(alpha^{-j}(x))`` in log space."""
     if n < 1:
         raise CriterionError("n must be >= 1")
-    inv = scenario.operator.map.inverse
-    w = scenario.operator.symbol
-    p = tuple(int(c) for c in x)
-    acc = 0.0
-    for _ in range(n):
-        p = inv.apply(p)
-        acc += w.log_value_at(p)
+    p, acc = _walk_point(scenario.operator, x, n, backward=True)
     return scenario.eta.value_at(p) * _safe_exp(acc)
 
 
@@ -203,18 +204,8 @@ def gamma_cross(system: DisjointSystem, s: int, l: int, n: int, x) -> float:
         raise CriterionError("cross indices must be distinct")
     if n < 1:
         raise CriterionError("n must be >= 1")
-    op_s, op_l = system.operators[s], system.operators[l]
-    r_s, r_l = system.powers[s], system.powers[l]
-    p = tuple(int(c) for c in x)
-    b = 0.0
-    for _ in range(r_s * n):
-        b += op_s.symbol.log_value_at(p)
-        p = op_s.map.apply(p)
-    a = 0.0
-    inv = op_l.map.inverse
-    for _ in range(r_l * n):
-        p = inv.apply(p)
-        a += op_l.symbol.log_value_at(p)
+    y, b = _walk_point(system.operators[s], x, system.powers[s] * n)
+    p, a = _walk_point(system.operators[l], y, system.powers[l] * n, backward=True)
     return system.eta.value_at(p) * _safe_exp(a - b)
 
 
@@ -300,10 +291,6 @@ class _ScanReport(_Record):
         "NoWitnessUpToHorizon is evidence up to the horizon, not proof."
     )
     _extra = ("semidecision_note",)
-
-    @property
-    def n_sequence(self) -> list:
-        return [st.n for st in self.stages]
 
     def last_stage(self):
         return self.stages[-1] if self.stages else None
@@ -392,21 +379,14 @@ class EpsilonReport(_Record):
 # Checkers
 
 
-class _ChiNormCache:
-    """Norms of indicator functions, keyed by the excluded point set."""
+def _chi_norm(norm_spec) -> Callable[[frozenset], float]:
+    """``||chi_P||_F`` as a function of the point set ``P``, cached per set."""
 
-    def __init__(self, norm_spec):
-        self.norm_spec = norm_spec
-        self._cache = {}
+    @functools.cache
+    def chi(points: frozenset) -> float:
+        return norm_spec.value(SampleFunction.indicator(points)) if points else 0.0
 
-    def __call__(self, points: frozenset) -> float:
-        if not points:
-            return 0.0
-        v = self._cache.get(points)
-        if v is None:
-            v = self.norm_spec.value(SampleFunction.indicator(points))
-            self._cache[points] = v
-        return v
+    return chi
 
 
 def _probe_schedule(horizon: int) -> set:
@@ -481,7 +461,7 @@ def _scan(norm, eta, ops, powers, K: Region, horizon: int, tol: float, start: in
     bwd_pts = [pts.copy() for _ in ops]
     fwd_acc = [np.zeros(len(pts)) for _ in ops]
     bwd_acc = [np.zeros(len(pts)) for _ in ops]
-    chi = _ChiNormCache(norm)
+    chi = _chi_norm(norm)
     probe_at = _probe_schedule(horizon)
     pairs = _pairs(len(ops))
 
@@ -624,7 +604,7 @@ def check_semi_transitivity(
     theta = m_K * epsilon / (1.0 - epsilon)
     chi_bound = (4 + 2 * N) * N * epsilon
     guard = 1.0 - 1e-12
-    chi = _ChiNormCache(family.norm)
+    chi = _chi_norm(family.norm)
     sorted_pts = K.sorted_points()
     pts = _int64_rows(sorted_pts)
     pairs = _pairs(N)

@@ -19,6 +19,7 @@ the horizon.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -134,7 +135,7 @@ class AffineLatticeMap:
             raise DomainError("coordinate range exceeded in vectorized map application")
         return pts @ lin.T + off
 
-    @property
+    @functools.cached_property
     def _int64_constants(self) -> tuple:
         """``(linear, offset)`` as int64 arrays, the largest row L1 norm of
         the linear part and the largest ``|offset|``, as Python ints.
@@ -142,33 +143,25 @@ class AffineLatticeMap:
         Raises :class:`DomainError` when either exceeds ``2**62``, the range
         :meth:`apply_many` keeps to.
         """
-        consts = getattr(self, "_consts", None)
-        if consts is None:
-            row_l1 = max(sum(abs(v) for v in row) for row in self.linear)
-            max_off = max(abs(c) for c in self.offset)
-            if max(row_l1, max_off) > 2**62:
-                raise DomainError("coordinate range exceeded in vectorized map application")
-            consts = (
-                np.array(self.linear, dtype=np.int64),
-                np.array(self.offset, dtype=np.int64),
-                row_l1,
-                max_off,
-            )
-            object.__setattr__(self, "_consts", consts)
-        return consts
+        row_l1 = max(sum(abs(v) for v in row) for row in self.linear)
+        max_off = max(abs(c) for c in self.offset)
+        if max(row_l1, max_off) > 2**62:
+            raise DomainError("coordinate range exceeded in vectorized map application")
+        return (
+            np.array(self.linear, dtype=np.int64),
+            np.array(self.offset, dtype=np.int64),
+            row_l1,
+            max_off,
+        )
 
-    @property
+    @functools.cached_property
     def inverse(self) -> "AffineLatticeMap":
-        inv = getattr(self, "_inv", None)
-        if inv is None:
-            lin_inv = _int_inverse(self.linear)
-            d = self.dimension
-            off_inv = tuple(
-                -sum(lin_inv[i][j] * self.offset[j] for j in range(d)) for i in range(d)
-            )
-            inv = AffineLatticeMap(lin_inv, off_inv)
-            object.__setattr__(self, "_inv", inv)
-        return inv
+        lin_inv = _int_inverse(self.linear)
+        d = self.dimension
+        off_inv = tuple(
+            -sum(lin_inv[i][j] * self.offset[j] for j in range(d)) for i in range(d)
+        )
+        return AffineLatticeMap(lin_inv, off_inv)
 
     def compose(self, other: "AffineLatticeMap") -> "AffineLatticeMap":
         """The map ``x -> self(other(x))``."""

@@ -35,9 +35,9 @@ class OperatorError(ValueError):
 class WeightedCompositionOperator:
     """Operator ``T f = symbol * (f ∘ map)`` with symbol bounds over a region.
 
-    ``m_w`` and ``M_w`` are the min/max of the symbol over ``region``; the
-    symbol and its reciprocal must be bounded there (``m_w > 0``), which is
-    what makes the operator invertible.
+    The symbol and its reciprocal must be bounded over ``region`` (its min
+    ``m_w > 0`` and its max ``M_w`` finite), which is what makes the
+    operator invertible.
     """
 
     map: AffineLatticeMap
@@ -51,16 +51,6 @@ class WeightedCompositionOperator:
             raise OperatorError(
                 f"symbol must be bounded away from 0 and infinity, got [{m_w}, {M_w}]"
             )
-        object.__setattr__(self, "_m_w", m_w)
-        object.__setattr__(self, "_M_w", M_w)
-
-    @property
-    def m_w(self) -> float:
-        return self._m_w
-
-    @property
-    def M_w(self) -> float:
-        return self._M_w
 
     def apply(self, f: SampleFunction) -> SampleFunction:
         """``(Tf)(x) = w(x) * f(map(x))``; the support moves by ``map^{-1}``."""

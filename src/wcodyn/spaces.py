@@ -199,8 +199,6 @@ class EllPNorm:
             return 0.0
         if math.isinf(self.p):
             return max(mags)
-        if self.p == 1:
-            return math.fsum(mags)
         return math.fsum(m**self.p for m in mags) ** (1.0 / self.p)
 
     def describe(self) -> dict:
@@ -262,6 +260,8 @@ class MorreyNorm:
     is finite, reproducible and translation invariant.  Only balls centred
     within ``max_radius`` of the support hold mass: the cost is
     ``O(|supp| (2 max_radius + 1)^d)`` however far apart the points lie.
+    Those centres are int64 points, so a support coordinate within
+    ``max_radius`` of either int64 end raises :class:`DomainError`.
     """
 
     p: float = 2.0
@@ -282,10 +282,13 @@ class MorreyNorm:
         items = f.items()
         if not items:
             return 0.0
+        r_max = self.max_radius
+        coords = [c for pt, _ in items for c in pt]
+        if min(coords) - r_max < -(2**63) or max(coords) + r_max > 2**63 - 1:
+            raise DomainError(f"morrey cubes of radius {r_max} around the support leave int64")
         pts = np.array([pt for pt, _ in items], dtype=np.int64)
         mags_q = np.array([abs(v) ** self.q for _, v in items])
         d = pts.shape[1]
-        r_max = self.max_radius
         weights = ((2 * np.arange(r_max + 1) + 1) ** d) ** (1.0 / self.p - 1.0 / self.q)
         axis = np.arange(-r_max, r_max + 1)
         offsets = np.stack(np.meshgrid(*[axis] * d, indexing="ij"), axis=-1).reshape(-1, d)

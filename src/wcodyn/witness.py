@@ -10,9 +10,10 @@ applying ``lambda * T_s^{k_s}``) are computed directly with the weighted
 norm.  One assembly serves both: a stage has ``k_s = r_s n`` and
 ``rho = lambda = 1``, a semi-mode row has ``k_s = 1`` and the scalings of
 the row.
-:func:`verify_report` recomputes those residuals for every stage and checks
-them against a-priori bounds assembled from the report's own sup terms,
-which is the operational soundness content of a found witness.
+:func:`verify_report` recomputes those residuals for every stage, with
+``f = g_s = chi_K * eta^{-1}``, and checks them against a-priori bounds
+assembled from the report's own sup terms, which is the operational
+soundness content of a found witness.
 
 The feasibility oracle answers one approximation question — is there an
 ``h`` with ``||h - f|| < eps`` and ``||T^n h - g|| < eps`` — with ``h = f``,
@@ -59,16 +60,6 @@ class WitnessVector:
     residual_source: float
     residual_targets: tuple
     scaling: float = 1.0
-
-    def to_dict(self) -> dict:
-        return {
-            "stage": self.stage,
-            "n": self.n,
-            "residual_source": self.residual_source,
-            "residual_targets": list(self.residual_targets),
-            "scaling": self.scaling,
-            "support_size": len(self.vector),
-        }
 
 
 def flatten(f: SampleFunction, eta: Weight) -> SampleFunction:
@@ -201,13 +192,9 @@ def _stage_sups(st):
     return (st.sup_forward,), (st.sup_backward,), {}
 
 
-def verify_report(
-    system,
-    report,
-    source: Optional[SampleFunction] = None,
-    targets: Optional[Sequence[SampleFunction]] = None,
-) -> WitnessAudit:
-    """Certify a WitnessFound report by rebuilding every stage's witness.
+def verify_report(system, report) -> WitnessAudit:
+    """Certify a WitnessFound report by rebuilding every stage's witness for
+    ``f = g_s = chi_K * eta^{-1}``.
 
     For each stage the recomputed residuals must not exceed the bounds that
     the report's own sup terms imply:
@@ -218,15 +205,11 @@ def verify_report(
 
     where ``f~ = source * eta`` and ``g~_s = target_s * eta`` are the
     un-flattened approximants, each bound ``b`` widened to
-    ``b + 1e-9 (1 + b)`` (``_SLACK``) for float rounding.  Defaults certify
-    the canonical choice ``source = targets = chi_K * eta^{-1}``.
+    ``b + 1e-9 (1 + b)`` (``_SLACK``) for float rounding.
     """
     norm_spec, eta, ops, powers = _as_system(system)
-    if source is None:
-        source = flatten(SampleFunction.indicator(report.K), eta)
-    if targets is None:
-        targets = tuple(source for _ in ops)
-    targets = tuple(targets)
+    source = flatten(SampleFunction.indicator(report.K), eta)
+    targets = tuple(source for _ in ops)
     f_plain = source.scaled_by(eta)
     g_plain = [g.scaled_by(eta) for g in targets]
     f_sup = f_plain.sup_abs()
@@ -281,15 +264,6 @@ class OracleResult:
     residual_target: float
     method: str
     iterations: int = 0
-
-    def to_dict(self) -> dict:
-        return {
-            "feasible": self.feasible,
-            "residual_source": self.residual_source,
-            "residual_target": self.residual_target,
-            "method": self.method,
-            "iterations": self.iterations,
-        }
 
 
 def feasibility_oracle(

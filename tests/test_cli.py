@@ -453,6 +453,14 @@ def test_non_utf8_config_exits_1(tmp_path, capsys):
     assert main([str(path)]) == EXIT_ERROR
     err = capsys.readouterr().err
     assert err.startswith("wcodyn: error: ") and str(path) in err and "UTF-8" in err
+    assert not err.startswith("wcodyn: error: :")
+
+
+def test_invalid_json_config_exits_1(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text("{")
+    assert main([str(path)]) == EXIT_ERROR
+    assert capsys.readouterr().err.startswith("wcodyn: error: invalid JSON:")
 
 
 def test_non_utf8_weight_table_exits_1(tmp_path, capsys):

@@ -14,6 +14,7 @@ from wcodyn.criteria import (
     DisjointSystem,
     OperatorFamily,
     Scenario,
+    _chi_norm,
     check_disjoint_transitivity,
     check_semi_transitivity,
     check_transitivity,
@@ -186,6 +187,21 @@ class TestCheckTransitivity:
             excluded = K.points - set(st.admissible)
             want = norm(scn.norm, SampleFunction.indicator(excluded)) if excluded else 0.0
             assert st.chi_residual == pytest.approx(want, rel=1e-12)
+
+    def test_chi_norm_evaluates_each_point_set_once(self):
+        class CountingNorm:
+            calls = 0
+
+            def value(self, f):
+                self.calls += 1
+                return EllPNorm(1).value(f)
+
+        spec = CountingNorm()
+        chi = _chi_norm(spec)
+        assert chi(frozenset()) == 0.0 and spec.calls == 0
+        assert chi(frozenset({(0,), (1,)})) == 2.0 and spec.calls == 1
+        assert chi(frozenset({(1,), (0,)})) == 2.0 and spec.calls == 1
+        assert chi(frozenset({(1,)})) == 1.0 and spec.calls == 2
 
     def test_monotone_in_horizon(self):
         scn = make_scenario()

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wcodyn.domain import AffineLatticeMap, Region
+from wcodyn.domain import AffineLatticeMap, DomainError, Region
 from wcodyn.spaces import (
     ConstantWeight,
     EllPNorm,
@@ -172,6 +172,21 @@ class TestMorrey:
             values.append(norm(MorreyNorm(2, 1, 3), f))
             assert time.perf_counter() - t0 < 1.0
         assert values[0] == values[1]
+
+    def test_cubes_beyond_int64_raise(self):
+        top, bottom = 2**63 - 1, -(2**63)
+        with pytest.raises(DomainError):
+            norm(MorreyNorm(2, 1, 1), SampleFunction({(top,): 1.0, (bottom,): 1.0}))
+        with pytest.raises(DomainError):
+            norm(MorreyNorm(2, 1, 1), chi(2**63))
+
+    def test_cubes_reaching_the_int64_end_match_the_origin(self):
+        spec = MorreyNorm(2, 1, 3)
+        r = spec.max_radius
+        a, b = 2**63 - 1 - r, 2**63 - 3 - r
+        near_end = SampleFunction({(a,): 1.0, (b,): -0.5})
+        at_origin = SampleFunction({(a - b,): 1.0, (0,): -0.5})
+        assert norm(spec, near_end) == norm(spec, at_origin)
 
     def test_parameter_validation(self):
         with pytest.raises(SpaceError, match="q"):
