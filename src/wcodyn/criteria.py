@@ -32,6 +32,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .domain import (
+    _BLOCK_CELLS,
+    _BLOCK_ERRORS,
     AffineLatticeMap,
     Region,
     _int64_rows,
@@ -379,14 +381,16 @@ class EpsilonReport(_Record):
 # Checkers
 
 
-def _chi_norm(norm_spec) -> Callable[[frozenset], float]:
-    """``||chi_P||_F`` as a function of the point set ``P``, cached per set."""
+def _chi_norm(norm_spec, points: list) -> Callable[[np.ndarray], float]:
+    """``||chi_P||_F`` for ``P`` the ``points`` that a boolean mask over them
+    leaves out, cached per mask."""
 
     @functools.cache
-    def chi(points: frozenset) -> float:
-        return norm_spec.value(SampleFunction.indicator(points)) if points else 0.0
+    def chi(mask: bytes) -> float:
+        excluded = frozenset(pt for pt, keep in zip(points, mask) if not keep)
+        return norm_spec.value(SampleFunction.indicator(excluded)) if excluded else 0.0
 
-    return chi
+    return lambda mask: chi(mask.tobytes())
 
 
 def _probe_schedule(horizon: int) -> set:
@@ -420,10 +424,6 @@ def _admissible(points: list, mask: np.ndarray) -> tuple:
     return tuple(pt for pt, keep in zip(points, mask) if keep)
 
 
-def _excluded(points: list, mask: np.ndarray) -> frozenset:
-    return frozenset(pt for pt, keep in zip(points, mask) if not keep)
-
-
 def _check_args(K: Region, horizon: int, tol: float):
     if len(K) < 1:
         raise CriterionError("K must be non-empty")
@@ -443,6 +443,60 @@ def _as_system(obj) -> tuple:
     raise CriterionError(f"expected Scenario or DisjointSystem, got {type(obj).__name__}")
 
 
+def _iterates(eta, ops, powers, pts: np.ndarray, horizon: int):
+    """Yield ``(n, lam_f, lam_b, top, fwd)`` for ``n = 1..horizon``: per
+    operator the forward and backward quantities at ``n`` over the rows
+    ``pts``, their pointwise maximum ``top``, and per operator the forward
+    state ``(points, log-sums)`` after ``r_l n`` steps.
+
+    The states come a block of ``L`` iterates at a time from
+    :meth:`WeightedCompositionOperator.walk_blocks` (every ``r_l``-th row of
+    ``r_l L`` steps) and the quantities as ``(L, |K|)`` arrays, one ``eta``
+    call each.  Blocks start at one iterate and double up to the
+    ``_BLOCK_CELLS`` cap, so the iterates computed ahead of the consumer are
+    at most one more than those it has taken.  A block that fails is retried
+    at half its length; at one iterate the calls are those of a step-by-step
+    scan in its order, so an error surfaces at the iterate where that scan
+    would raise it.
+    """
+    k, d = pts.shape
+    zero = np.zeros(k)
+    fwd = [(pts, zero)] * len(ops)
+    bwd = [(pts, zero)] * len(ops)
+    cap = max(1, _BLOCK_CELLS // (max(powers) * k * d))
+    n, size = 1, 1
+
+    def states(op, r, start, L, backward=False):
+        P, A = (np.concatenate(b) for b in zip(*op.walk_blocks(*start, r * L, backward)))
+        return P[r - 1 :: r], A[r - 1 :: r]
+
+    def lam(P, logs):
+        return eta.values(P.reshape(-1, d)).reshape(logs.shape) * np.exp(logs)
+
+    while n <= horizon:
+        L = min(size, cap, horizon - n + 1)
+        try:
+            f_rows, b_rows = [], []
+            for op, r, f, b in zip(ops, powers, fwd, bwd):
+                f_rows.append(states(op, r, f, L))
+                b_rows.append(states(op, r, b, L, backward=True))
+            lam_f = [lam(P, -A) for P, A in f_rows]
+            lam_b = [lam(P, A) for P, A in b_rows]
+            top = np.maximum.reduce(lam_f + lam_b)
+        except _BLOCK_ERRORS:
+            if L == 1:
+                raise
+            cap = L // 2  # the block ran ahead into a failing iterate
+            continue
+        for i in range(L):
+            fwd_i = [(P[i], A[i]) for P, A in f_rows]
+            yield n + i, [v[i] for v in lam_f], [v[i] for v in lam_b], top[i], fwd_i
+        fwd = [(P[-1], A[-1]) for P, A in f_rows]
+        bwd = [(P[-1], A[-1]) for P, A in b_rows]
+        n += L
+        size = 2 * L
+
+
 def _scan(norm, eta, ops, powers, K: Region, horizon: int, tol: float, start: int) -> dict:
     """Search for a common witness sequence of the powers ``T_l^{r_l n}``.
 
@@ -451,28 +505,26 @@ def _scan(norm, eta, ops, powers, K: Region, horizon: int, tol: float, start: in
     points whose forward, backward or cross quantity exceeds ``m_K / 2^k``
     leaves an indicator residual ``||chi_{K\\E}||_F <= 4 / 2^k``.  The verdict
     becomes ``WitnessFound`` once the sups over ``E`` and the residual at a
-    stage all drop to ``tol`` or below.  Returns the fields shared by the
-    reports, with :class:`DisjointStage` stages.
+    stage all drop to ``tol`` or below.  The quantities come in blocks of
+    iterates from :func:`_iterates`; acceptance is decided one ``n`` at a
+    time, as the threshold halves at each accepted stage.  Returns the
+    fields shared by the reports, with :class:`DisjointStage` stages.
     """
     m_K = inf_weight_on(eta, K)
     sorted_pts = K.sorted_points()
     pts = _int64_rows(sorted_pts)
-    fwd_pts = [pts.copy() for _ in ops]
-    bwd_pts = [pts.copy() for _ in ops]
-    fwd_acc = [np.zeros(len(pts)) for _ in ops]
-    bwd_acc = [np.zeros(len(pts)) for _ in ops]
-    chi = _chi_norm(norm)
+    chi = _chi_norm(norm, sorted_pts)
     probe_at = _probe_schedule(horizon)
     pairs = _pairs(len(ops))
 
-    def cross(n):
+    def cross(n, fwd):
         # Operator s forward r_s n steps is the forward state at n; walk it
         # r_l n steps backward under operator l.
         out = {}
         for s, l in pairs:
-            p, acc = fwd_pts[s].copy(), np.zeros(len(pts))
+            p, acc = fwd[s][0].copy(), np.zeros(len(pts))
             ops[l].walk(p, acc, powers[l] * n, backward=True)
-            out[(s, l)] = eta.values(p) * np.exp(acc - fwd_acc[s])
+            out[(s, l)] = eta.values(p) * np.exp(acc - fwd[s][1])
         return out
 
     k = 1
@@ -482,15 +534,10 @@ def _scan(norm, eta, ops, powers, K: Region, horizon: int, tol: float, start: in
     probes: list = []
     verdict = NO_WITNESS
     with np.errstate(over="ignore", under="ignore"):
-        for n in range(1, horizon + 1):
-            for op, r, fp, fa, bp, ba in zip(ops, powers, fwd_pts, fwd_acc, bwd_pts, bwd_acc):
-                op.walk(fp, fa, r)
-                op.walk(bp, ba, r, backward=True)
-            lam_f = [eta.values(p) * np.exp(-acc) for p, acc in zip(fwd_pts, fwd_acc)]
-            lam_b = [eta.values(p) * np.exp(acc) for p, acc in zip(bwd_pts, bwd_acc)]
+        for n, lam_f, lam_b, top, fwd in _iterates(eta, ops, powers, pts, horizon):
             gam = None
             if n in probe_at:
-                gam = cross(n)
+                gam = cross(n, fwd)
                 probes.append(
                     CriterionProbe(
                         n,
@@ -501,13 +548,13 @@ def _scan(norm, eta, ops, powers, K: Region, horizon: int, tol: float, start: in
                 )
             if n < start:
                 continue
-            mask = _below(lam_f + lam_b, tau, np.ones(len(pts), dtype=bool))
-            if pairs and chi(_excluded(sorted_pts, mask)) > target + _TIE:
+            mask = top <= tau
+            if pairs and chi(mask) > target + _TIE:
                 continue  # cheap reject before the costly cross quantities
             if gam is None:
-                gam = cross(n)
+                gam = cross(n, fwd)
             _below(gam.values(), tau, mask)
-            resid = chi(_excluded(sorted_pts, mask))
+            resid = chi(mask)
             if resid > target + _TIE:
                 continue
             sup_f = tuple(_sup(v, mask) for v in lam_f)
@@ -604,8 +651,8 @@ def check_semi_transitivity(
     theta = m_K * epsilon / (1.0 - epsilon)
     chi_bound = (4 + 2 * N) * N * epsilon
     guard = 1.0 - 1e-12
-    chi = _chi_norm(family.norm)
     sorted_pts = K.sorted_points()
+    chi = _chi_norm(family.norm, sorted_pts)
     pts = _int64_rows(sorted_pts)
     pairs = _pairs(N)
 
@@ -624,7 +671,7 @@ def check_semi_transitivity(
             y = maps[l].inverse.apply_many(maps[s].apply_many(pts))
             cross[(s, l)] = eta.values(y) * syms[l].values(y) / w[s]
         mask = _below([*fwd, *bwd, *cross.values()], theta, np.ones(len(pts), dtype=bool))
-        resid = chi(_excluded(sorted_pts, mask))
+        resid = chi(mask)
         sup_f = tuple(_sup(v, mask) for v in fwd)
         sup_b = tuple(_sup(v, mask) for v in bwd)
         sup_c = {pair: _sup(v, mask) for pair, v in cross.items()}

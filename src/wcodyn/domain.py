@@ -8,6 +8,13 @@ and backward iterates compose exactly, with no rounding anywhere.
 All values in this module are immutable and hashable; coordinates are
 Python integers, so iterates never wrap silently (arbitrary precision).
 
+Orbits are stepped a block of iterates at a time: ``_orbit_block`` returns
+the exact-length block ``m(X), ..., m^L(X)`` as one ``(L, |X|, d)`` int64
+array, built by doubling with the exactly composed powers ``m^(2^j)``,
+which each map caches.  Like ``apply_many`` it raises ``DomainError``
+rather than wrap.  The operator walk (and with it the criteria scan) and the
+aperiodicity bounds both take their orbits from it.
+
 The aperiodicity and separation bounds are decided exactly up to the stated
 horizon without stepping one iterate at a time: along the orbit of ``K`` in
 int64 blocks of iterates, which fall back to the exact Python-int
@@ -129,11 +136,17 @@ class AffineLatticeMap:
         bounded by ``2**62`` a priori, so int64 arithmetic never wraps (the
         exact scalar path never does).
         """
-        lin, off, row_l1, max_off = self._int64_constants
+        lin, off, _, _ = self._int64_constants
+        self._check_range(pts)
+        return pts @ lin.T + off
+
+    def _check_range(self, pts: np.ndarray):
+        """The guard of :meth:`apply_many`: :class:`DomainError` unless
+        ``|x| * row_l1 + max|offset| <= 2**62`` for every coordinate of ``pts``."""
+        _, _, row_l1, max_off = self._int64_constants
         # a uint64 view keeps |INT64_MIN| = 2**63 from wrapping negative
         if int(np.abs(pts).view(np.uint64).max(initial=0)) * row_l1 + max_off > 2**62:
             raise DomainError("coordinate range exceeded in vectorized map application")
-        return pts @ lin.T + off
 
     @functools.cached_property
     def _int64_constants(self) -> tuple:
@@ -153,6 +166,12 @@ class AffineLatticeMap:
             row_l1,
             max_off,
         )
+
+    @functools.cached_property
+    def _squared(self) -> "AffineLatticeMap":
+        """``self`` composed with itself, once per map; ``m^(2^j)`` is ``j``
+        steps down this chain."""
+        return self.compose(self)
 
     @functools.cached_property
     def inverse(self) -> "AffineLatticeMap":
@@ -260,18 +279,54 @@ def iterate_point(m: AffineLatticeMap, n: int, x: Sequence[int]) -> Point:
 
 
 # ---------------------------------------------------------------------------
+# Orbit blocks
+
+_BLOCK_CELLS = 2**12  # cap on L |K| d, the int64 entries of one orbit block
+# What a block of steps computed ahead may raise at a step that a
+# step-by-step walk reaches later or never: the range guard and a missing
+# table value (ValueError), and a floating-point fault (ArithmeticError, or
+# RuntimeWarning where warnings are errors).  Its callers retry shorter.
+_BLOCK_ERRORS = (ValueError, ArithmeticError, RuntimeWarning)
+
+
+def _orbit_block(m: AffineLatticeMap, X: np.ndarray, length: int) -> np.ndarray:
+    """The images ``m(X), ..., m^length(X)`` of the ``(k, d)`` int64 rows
+    ``X``, as a ``(length, k, d)`` array, exactly.
+
+    Doubling builds it: with the first ``2^j`` images in hand, the exactly
+    composed ``m^(2^j)`` (cached per map, see ``_squared``) maps as many of
+    them as are still needed to the next ones, so the block has exactly
+    ``length`` images.  Every application goes through the overflow-safe
+    :meth:`AffineLatticeMap.apply_many`, and the block is returned only if
+    the guard of ``m`` itself also holds at ``X, ..., m^{length-1}(X)``: a
+    returned block is what ``length`` calls of ``m.apply_many`` return.
+    Otherwise :class:`DomainError`, also where only a power's guard fails,
+    so a caller that needs the images one step further retries shorter.
+    """
+    k, d = X.shape
+    out = np.empty((length, k, d), dtype=np.int64)
+    out[0] = m.apply_many(X)
+    have, leap = 1, m  # leap = m^have
+    while have < length:
+        take = min(have, length - have)
+        out[have : have + take] = leap.apply_many(out[:take].reshape(-1, d)).reshape(take, k, d)
+        have += take
+        if have < length:
+            leap = leap._squared
+    m._check_range(out[:-1])
+    return out
+
+
+# ---------------------------------------------------------------------------
 # Aperiodicity and separation bounds
 #
 # Both bounds are ``last + 1`` (``None`` when ``last`` is the horizon) for
 # ``last``, the last ``n <= horizon`` at which some image ``m_l^{r_l n}(K)``
 # meets ``K`` or two of the images meet each other.  ``_last_meeting``
-# decides it exactly along block-stepped int64 orbits, and falls back to the
+# decides it exactly along int64 orbit blocks, and falls back to the
 # Python-int enumeration ``_last_meeting_enumerated`` when the int64 orbit
 # would leave its a-priori range.  For translations the walk stops where no
 # image can reach ``K`` or another image any more.
-
-_BLOCK = 64  # iterates per orbit block
-_BLOCK_CELLS = 2**20  # cap on B |K| d, the int64 entries of one block
 
 
 def _last_meeting(maps, powers, region: Region, horizon: int) -> int:
@@ -358,30 +413,28 @@ class _RowIndex:
 
 
 def _last_meeting_orbits(maps, powers, region: Region, horizon: int) -> int:
-    """Block-stepped int64 orbits.
+    """Int64 orbits of ``K``, a block of iterates at a time.
 
     A block holds the images ``g^{t+1}(K) .. g^{t+B}(K)`` of each
-    ``g_l = m_l^{r_l}`` as a ``(B, |K|, d)`` array (``B`` a power of two,
-    so doubling builds the first block), and the exactly composed
-    map ``g_l^B`` advances it to the next block through the overflow-safe
-    ``apply_many`` (which raises :class:`DomainError` rather than wrap).
-    Membership in ``K`` is looked up in a :class:`_RowIndex`; two images
-    meet where sorting their rows together puts two equal rows side by side.
-    Memory is ``O(B |K| d)``.
+    ``g_l = m_l^{r_l}`` as a ``(B, |K|, d)`` array (``B`` a power of two).
+    The first is an :func:`_orbit_block`, and ``g_l^B``, the next power down
+    the chain that block was doubled with, advances it to the next through
+    the overflow-safe ``apply_many`` (which raises :class:`DomainError`
+    rather than wrap).  Membership in ``K`` is looked up in a
+    :class:`_RowIndex`; two images meet where sorting their rows together
+    puts two equal rows side by side.  Memory is ``O(_BLOCK_CELLS)``.
     """
     K = _int64_rows(region.sorted_points())
     k, d = K.shape
     index = _RowIndex(region.points)
-    size = 1 << (max(1, min(_BLOCK, horizon, _BLOCK_CELLS // (k * d))).bit_length() - 1)
+    size = 1 << (max(1, min(horizon, _BLOCK_CELLS // (k * d))).bit_length() - 1)
     blocks, leaps = [], []
     for m, r in zip(maps, powers):
         leap = _power(m, r)  # g = m^r
-        X = leap.apply_many(K)[None]
-        while len(X) < size:  # with leap = g^L, double iterates 1..L to 1..2L
-            X = np.concatenate([X, leap.apply_many(X.reshape(-1, d)).reshape(X.shape)])
-            leap = leap.compose(leap)
-        blocks.append(X)
-        leaps.append(leap)  # g^size, as size is a power of two
+        blocks.append(_orbit_block(leap, K, size))
+        for _ in range(size.bit_length() - 1):
+            leap = leap._squared
+        leaps.append(leap)  # g^size
 
     def meets_K(X):
         hit = np.zeros(len(X), dtype=bool)

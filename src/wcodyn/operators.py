@@ -5,8 +5,12 @@ Iterates use the closed product formulas
     forward:  (T^n f)(x) = prod_{j=0..n-1} w(alpha^j(x)) * f(alpha^n(x))
     backward: (S^n f)(x) = prod_{j=1..n}  w(alpha^{-j}(x))^{-1} * f(alpha^{-n}(x))
 
-with the weight products accumulated as sums of logarithms, one pass per
-support point, so magnitudes like ``2^100000`` stay representable as logs.
+with the weight products accumulated as sums of logarithms, so magnitudes
+like ``2^100000`` stay representable as logs.  The support points walk
+together, a block of steps per numpy call: the orbit block comes from
+:func:`wcodyn.domain._orbit_block`, ``log w`` is evaluated once over it, and
+``np.add.accumulate`` sums it in the order of a step-by-step walk, so every
+bit is that walk's.
 """
 
 from __future__ import annotations
@@ -16,7 +20,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import AffineLatticeMap, Region, _int64_rows
+from .domain import (
+    _BLOCK_CELLS,
+    _BLOCK_ERRORS,
+    AffineLatticeMap,
+    Region,
+    _int64_rows,
+    _orbit_block,
+)
 from .spaces import (
     SampleFunction,
     Weight,
@@ -68,22 +79,56 @@ class WeightedCompositionOperator:
             out[self.map.apply(y)] = v / self.symbol.value_at(y)
         return SampleFunction(out)
 
-    def walk(self, pts: np.ndarray, acc: np.ndarray, steps: int, backward: bool = False):
-        """Step the ``(m, d)`` int64 array ``pts`` ``steps`` times in place,
-        adding ``log w`` along the orbit to ``acc`` (also in place).
+    def walk_blocks(self, pts: np.ndarray, acc: np.ndarray, steps: int, backward: bool = False):
+        """Yield the walk of ``steps`` steps from the ``(m, d)`` int64 rows
+        ``pts`` with log-sums ``acc``, a block at a time: ``(points, sums)``
+        of shapes ``(L, m, d)`` and ``(L, m)``, whose row ``i`` is the state
+        ``i + 1`` steps on.  The inputs are not modified.
 
         A forward step adds ``log w`` at the point, then applies the map; a
         backward step applies the inverse, then adds ``log w`` at the image.
-        This is the one vectorized orbit walk: the criteria scan and
-        :meth:`iterate_log` both step through it.
+        A block is one :func:`~wcodyn.domain._orbit_block` and one
+        ``log_values`` call, summed by ``np.add.accumulate`` seeded with the
+        carried sums: the sequential ``+=`` of a step-by-step walk, bit for
+        bit.  A block holds at most ``_BLOCK_CELLS`` int64 entries and is
+        made when the consumer asks for it.  One that fails is retried at
+        half its length, and at length 1 the step is taken as a step-by-step
+        walk takes it, so an error (``DomainError`` at the int64 edge, a
+        ``WeightError`` off a table) surfaces at the step where that walk
+        would raise it, not at a step computed ahead.
         """
         mp = self.map.inverse if backward else self.map
-        for _ in range(steps):
-            if not backward:
-                acc += self.symbol.log_values(pts)
-            pts[...] = mp.apply_many(pts)
-            if backward:
-                acc += self.symbol.log_values(pts)
+        m, d = pts.shape
+        cap = max(1, _BLOCK_CELLS // max(1, m * d))
+        while steps > 0:
+            L = min(cap, steps)
+            if L == 1:
+                if not backward:
+                    acc = acc + self.symbol.log_values(pts)
+                pts = mp.apply_many(pts)
+                if backward:
+                    acc = acc + self.symbol.log_values(pts)
+                yield pts[None], acc[None]
+            else:
+                try:
+                    P = _orbit_block(mp, pts, L)
+                    at = P if backward else np.concatenate([pts[None], P[:-1]])
+                    logs = self.symbol.log_values(at.reshape(-1, d)).reshape(L, m)
+                except _BLOCK_ERRORS:  # the block ran ahead into a failing step
+                    cap = L // 2
+                    continue
+                A = np.add.accumulate(np.concatenate([acc[None], logs]))[1:]
+                pts, acc = P[-1], A[-1]
+                yield P, A
+            steps -= L
+
+    def walk(self, pts: np.ndarray, acc: np.ndarray, steps: int, backward: bool = False):
+        """Step the ``(m, d)`` int64 array ``pts`` ``steps`` times in place,
+        adding ``log w`` along the orbit to ``acc`` (also in place), through
+        :meth:`walk_blocks`.  The criteria scan's cross leg,
+        :meth:`iterate_log` and the feasibility oracle step through it."""
+        for P, A in self.walk_blocks(pts, acc, steps, backward):
+            pts[...], acc[...] = P[-1], A[-1]
 
     def iterate_log(self, n: int, f: SampleFunction) -> dict:
         """Log-space iterate: point -> (log magnitude, unit phase).

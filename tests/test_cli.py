@@ -525,3 +525,31 @@ def test_parse_builds_the_system_and_run_builds_nothing(monkeypatch):
     for cfg in cfgs:
         run_scenario(cfg)
     assert built == []
+
+
+def _cat_map_doc(box, horizon):
+    # plane-decaying-shift under the hyperbolic cat map [[2,1],[1,1]] + (1, 0),
+    # whose int64 orbit leaves the range apply_many keeps to near n = 45
+    doc = dict(_bundled_doc("plane-decaying-shift"), name="cat-map", horizon=horizon)
+    doc["operator"] = dict(doc["operator"], map={"linear": [[2, 1], [1, 1]], "offset": [1, 0]})
+    doc["K"] = {"box": [box, box]}
+    return doc
+
+
+@pytest.mark.parametrize("horizon", [40, 100])
+def test_cat_map_witness_found_before_the_int64_edge(horizon, tmp_path, capsys):
+    doc = _cat_map_doc([1, 2], horizon)
+    assert main([str(write_config(tmp_path, doc))]) == EXIT_FOUND
+    assert "WitnessFound" in capsys.readouterr().out
+
+
+def test_cat_map_no_witness_just_short_of_the_int64_edge(tmp_path):
+    doc = _cat_map_doc([-3, 3], 43)
+    assert main([str(write_config(tmp_path, doc))]) == EXIT_NO_WITNESS
+
+
+def test_cat_map_scan_past_the_int64_edge_exits_1(tmp_path, capsys):
+    doc = _cat_map_doc([-3, 3], 44)
+    assert main([str(write_config(tmp_path, doc))]) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("wcodyn: error: ") and "coordinate range exceeded" in err

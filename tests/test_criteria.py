@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -15,6 +16,7 @@ from wcodyn.criteria import (
     OperatorFamily,
     Scenario,
     _chi_norm,
+    _iterates,
     check_disjoint_transitivity,
     check_semi_transitivity,
     check_transitivity,
@@ -30,6 +32,7 @@ from wcodyn.spaces import (
     RadialPowerWeight,
     SampleFunction,
     TableWeight,
+    WeightError,
     norm,
 )
 
@@ -197,11 +200,11 @@ class TestCheckTransitivity:
                 return EllPNorm(1).value(f)
 
         spec = CountingNorm()
-        chi = _chi_norm(spec)
-        assert chi(frozenset()) == 0.0 and spec.calls == 0
-        assert chi(frozenset({(0,), (1,)})) == 2.0 and spec.calls == 1
-        assert chi(frozenset({(1,), (0,)})) == 2.0 and spec.calls == 1
-        assert chi(frozenset({(1,)})) == 1.0 and spec.calls == 2
+        chi = _chi_norm(spec, [(0,), (1,)])
+        assert chi(np.array([True, True])) == 0.0 and spec.calls == 0
+        assert chi(np.array([False, False])) == 2.0 and spec.calls == 1
+        assert chi(np.zeros(2, dtype=bool)) == 2.0 and spec.calls == 1
+        assert chi(np.array([True, False])) == 1.0 and spec.calls == 2
 
     def test_monotone_in_horizon(self):
         scn = make_scenario()
@@ -603,3 +606,35 @@ def test_semi_raises_where_images_leave_the_int64_range():
     )
     with pytest.raises(DomainError):
         check_semi_transitivity(fam, Region.box([[-1, 1]]), 0.1)
+
+
+# ---------------------------------------------------------------------------
+# The scan computes blocks of iterates ahead; errors surface where a
+# step-by-step scan meets them
+
+
+def _table_eta_scenario(extent):
+    # eta = 1 / (1 + |x|) on [-extent, extent] and undefined beyond, so the
+    # orbits of K = [-2, 2] under the unit shift leave it at n = extent - 1
+    eta = TableWeight({(x,): 1.0 / (1 + abs(x)) for x in range(-extent, extent + 1)})
+    return Scenario(EllPNorm(1), eta, shift_op(-1, region=Region.box([[-4, 4]])), Region.box([[-4, 4]]))
+
+
+def test_iterates_raise_at_the_iterate_that_leaves_the_table():
+    sc = _table_eta_scenario(42)
+    K = np.array([[x] for x in range(-2, 3)], dtype=np.int64)
+    seen = []
+    with pytest.raises(WeightError, match="no value at"):
+        for n, *_ in _iterates(sc.eta, (sc.operator,), (1,), K, 100):
+            seen.append(n)
+    assert seen == list(range(1, 41))
+
+
+def test_witness_before_the_table_ends_is_found():
+    # the witness is accepted at n = 49 and the table ends at n = 55, both
+    # inside the block of iterates 32..63 that the scan computes ahead
+    sc = _table_eta_scenario(56)
+    report = check_transitivity(sc, Region.box([[-2, 2]]), 100, 0.03)
+    assert report.verdict == WITNESS_FOUND and [st_.n for st_ in report.stages] == [6, 13, 25, 49]
+    with pytest.raises(WeightError, match=r"no value at \(-57,\)"):
+        check_transitivity(sc, Region.box([[-2, 2]]), 100, 0.02)
