@@ -444,15 +444,16 @@ def _as_system(obj) -> tuple:
 
 
 def _iterates(eta, ops, powers, pts: np.ndarray, horizon: int):
-    """Yield ``(n, lam_f, lam_b, top, fwd)`` for ``n = 1..horizon``: per
-    operator the forward and backward quantities at ``n`` over the rows
-    ``pts``, their pointwise maximum ``top``, and per operator the forward
-    state ``(points, log-sums)`` after ``r_l n`` steps.
+    """Yield the iterates ``n = 1..horizon`` in blocks
+    ``(n0, lam_f, lam_b, top, f_rows)`` whose row ``i`` is iterate
+    ``n0 + i``: per operator the forward and backward quantities over the
+    rows ``pts`` as ``(L, |K|)`` arrays, their pointwise maximum ``top``,
+    and per operator the forward states ``(points, log-sums)`` after
+    ``r_l n`` steps, of shapes ``(L, |K|, d)`` and ``(L, |K|)``.
 
-    The states come a block of ``L`` iterates at a time from
-    :meth:`WeightedCompositionOperator.walk_blocks` (every ``r_l``-th row of
-    ``r_l L`` steps) and the quantities as ``(L, |K|)`` arrays, one ``eta``
-    call each.  Blocks start at one iterate and double up to the
+    The states come from :meth:`WeightedCompositionOperator.walk_blocks`
+    (every ``r_l``-th row of ``r_l L`` steps) and the quantities from one
+    ``eta`` call each.  Blocks start at one iterate and double up to the
     ``_BLOCK_CELLS`` cap, so the iterates computed ahead of the consumer are
     at most one more than those it has taken.  A block that fails is retried
     at half its length; at one iterate the calls are those of a step-by-step
@@ -488,13 +489,17 @@ def _iterates(eta, ops, powers, pts: np.ndarray, horizon: int):
                 raise
             cap = L // 2  # the block ran ahead into a failing iterate
             continue
-        for i in range(L):
-            fwd_i = [(P[i], A[i]) for P, A in f_rows]
-            yield n + i, [v[i] for v in lam_f], [v[i] for v in lam_b], top[i], fwd_i
+        yield n, lam_f, lam_b, top, f_rows
         fwd = [(P[-1], A[-1]) for P, A in f_rows]
         bwd = [(P[-1], A[-1]) for P, A in b_rows]
         n += L
         size = 2 * L
+
+
+def _runs(masks: np.ndarray) -> list:
+    """``(a, b)`` for each run ``masks[a:b]`` of equal rows, in order."""
+    cuts = [0, *(np.flatnonzero((masks[1:] != masks[:-1]).any(axis=1)) + 1), len(masks)]
+    return list(zip(cuts[:-1], cuts[1:]))
 
 
 def _scan(norm, eta, ops, powers, K: Region, horizon: int, tol: float, start: int) -> dict:
@@ -505,16 +510,25 @@ def _scan(norm, eta, ops, powers, K: Region, horizon: int, tol: float, start: in
     points whose forward, backward or cross quantity exceeds ``m_K / 2^k``
     leaves an indicator residual ``||chi_{K\\E}||_F <= 4 / 2^k``.  The verdict
     becomes ``WitnessFound`` once the sups over ``E`` and the residual at a
-    stage all drop to ``tol`` or below.  The quantities come in blocks of
-    iterates from :func:`_iterates`; acceptance is decided one ``n`` at a
-    time, as the threshold halves at each accepted stage.  Returns the
-    fields shared by the reports, with :class:`DisjointStage` stages.
+    stage all drop to ``tol`` or below.  Returns the fields shared by the
+    reports, with :class:`DisjointStage` stages.
+
+    The quantities come in blocks of iterates from :func:`_iterates`, and
+    acceptance is decided a run of iterates at a time: the block's
+    undecided rows are thresholded at once, and consecutive rows with the
+    same mask share one indicator residual.  A single operator accepts the
+    first run whose residual passes.  Several operators walk the cross leg
+    at each row of such a run, in order, as the cross quantities narrow
+    each row's mask on their own.  After an accepted stage the threshold
+    halves and the rest of the block is thresholded again.  The stages,
+    the probes and the order of the norm evaluations are those of a scan
+    that decides one ``n`` at a time.
     """
     m_K = inf_weight_on(eta, K)
     sorted_pts = K.sorted_points()
     pts = _int64_rows(sorted_pts)
     chi = _chi_norm(norm, sorted_pts)
-    probe_at = _probe_schedule(horizon)
+    pending = sorted(_probe_schedule(horizon))  # probe iterates not yet recorded
     pairs = _pairs(len(ops))
 
     def cross(n, fwd):
@@ -534,40 +548,62 @@ def _scan(norm, eta, ops, powers, K: Region, horizon: int, tol: float, start: in
     probes: list = []
     verdict = NO_WITNESS
     with np.errstate(over="ignore", under="ignore"):
-        for n, lam_f, lam_b, top, fwd in _iterates(eta, ops, powers, pts, horizon):
-            gam = None
-            if n in probe_at:
-                gam = cross(n, fwd)
-                probes.append(
-                    CriterionProbe(
-                        n,
-                        max(float(v.max()) for v in lam_f),
-                        max(float(v.max()) for v in lam_b),
-                        gamma_max=max((float(g.max()) for g in gam.values()), default=None),
+        for n0, lam_f, lam_b, top, f_rows in _iterates(eta, ops, powers, pts, horizon):
+            @functools.cache
+            def gamma(i):
+                return cross(n0 + i, [(P[i], A[i]) for P, A in f_rows])
+
+            def probe_to(i):
+                # record the probes at rows up to i, in order, before a
+                # cross quantity of a later row is evaluated
+                while pending and pending[0] <= n0 + i:
+                    j = pending.pop(0) - n0
+                    gam = gamma(j)
+                    probes.append(
+                        CriterionProbe(
+                            n0 + j,
+                            max(float(v[j].max()) for v in lam_f),
+                            max(float(v[j].max()) for v in lam_b),
+                            gamma_max=max((float(g.max()) for g in gam.values()), default=None),
+                        )
                     )
-                )
-            if n < start:
-                continue
-            mask = top <= tau
-            if pairs and chi(mask) > target + _TIE:
-                continue  # cheap reject before the costly cross quantities
-            if gam is None:
-                gam = cross(n, fwd)
-            _below(gam.values(), tau, mask)
-            resid = chi(mask)
-            if resid > target + _TIE:
-                continue
-            sup_f = tuple(_sup(v, mask) for v in lam_f)
-            sup_b = tuple(_sup(v, mask) for v in lam_b)
-            gsup = {pair: _sup(g, mask) for pair, g in gam.items()}
-            admissible = _admissible(sorted_pts, mask)
-            stages.append(DisjointStage(k, n, admissible, sup_f, sup_b, gsup, resid))
-            if all(v <= tol for v in (*sup_f, *sup_b, *gsup.values(), resid)):
-                verdict = WITNESS_FOUND
+
+            def next_stage(i):
+                # the first row from i that passes at the current threshold,
+                # with its mask and residual; None when no row does
+                masks = top[i:] <= tau
+                for a, b in _runs(masks):
+                    if chi(masks[a]) > target + _TIE:
+                        continue  # cheap reject before the costly cross quantities
+                    # without cross quantities every row of the run passes
+                    for j in range(i + a, i + b if pairs else i + a + 1):
+                        probe_to(j)
+                        mask = _below(gamma(j).values(), tau, masks[j - i].copy())
+                        resid = chi(mask)
+                        if resid <= target + _TIE:
+                            return j, mask, resid
+                return None
+
+            i = max(0, start - n0)  # the first undecided row
+            last = len(top) - 1  # the last row the scan reaches
+            while i <= last and (hit := next_stage(i)) is not None:
+                j, mask, resid = hit
+                sup_f = tuple(_sup(v[j], mask) for v in lam_f)
+                sup_b = tuple(_sup(v[j], mask) for v in lam_b)
+                gsup = {pair: _sup(g, mask) for pair, g in gamma(j).items()}
+                admissible = _admissible(sorted_pts, mask)
+                stages.append(DisjointStage(k, n0 + j, admissible, sup_f, sup_b, gsup, resid))
+                if all(v <= tol for v in (*sup_f, *sup_b, *gsup.values(), resid)):
+                    verdict = WITNESS_FOUND
+                    last = j
+                    break
+                k += 1
+                tau *= 0.5
+                target *= 0.5
+                i = j + 1
+            probe_to(last)
+            if verdict == WITNESS_FOUND:
                 break
-            k += 1
-            tau *= 0.5
-            target *= 0.5
     return dict(
         verdict=verdict,
         m_K=m_K,

@@ -10,9 +10,10 @@ Python integers, so iterates never wrap silently (arbitrary precision).
 
 Orbits are stepped a block of iterates at a time: ``_orbit_block`` returns
 the exact-length block ``m(X), ..., m^L(X)`` as one ``(L, |X|, d)`` int64
-array, built by doubling with the exactly composed powers ``m^(2^j)``,
-which each map caches.  Like ``apply_many`` it raises ``DomainError``
-rather than wrap.  The operator walk (and with it the criteria scan) and the
+array, one broadcast product with the exact powers ``m^1 .. m^L``, which
+each map caches as stacked int64 arrays (a power table, grown by doubling
+in Python integers).  Like ``apply_many`` it raises ``DomainError`` rather
+than wrap.  The operator walk (and with it the criteria scan) and the
 aperiodicity bounds both take their orbits from it.
 
 The aperiodicity and separation bounds are decided exactly up to the stated
@@ -41,6 +42,12 @@ class DomainError(ValueError):
 
 def _as_point(x: Sequence[int]) -> Point:
     return tuple(int(c) for c in x)
+
+
+def _abs_max(pts: np.ndarray) -> int:
+    """The largest ``|c|`` over the int64 array ``pts`` (0 when empty), as a
+    Python int; a uint64 view keeps ``|INT64_MIN| = 2**63`` from wrapping."""
+    return int(np.abs(pts).view(np.uint64).max(initial=0))
 
 
 def _int_det(rows: Sequence[Sequence[int]]) -> int:
@@ -144,8 +151,7 @@ class AffineLatticeMap:
         """The guard of :meth:`apply_many`: :class:`DomainError` unless
         ``|x| * row_l1 + max|offset| <= 2**62`` for every coordinate of ``pts``."""
         _, _, row_l1, max_off = self._int64_constants
-        # a uint64 view keeps |INT64_MIN| = 2**63 from wrapping negative
-        if int(np.abs(pts).view(np.uint64).max(initial=0)) * row_l1 + max_off > 2**62:
+        if _abs_max(pts) * row_l1 + max_off > 2**62:
             raise DomainError("coordinate range exceeded in vectorized map application")
 
     @functools.cached_property
@@ -168,10 +174,10 @@ class AffineLatticeMap:
         )
 
     @functools.cached_property
-    def _squared(self) -> "AffineLatticeMap":
-        """``self`` composed with itself, once per map; ``m^(2^j)`` is ``j``
-        steps down this chain."""
-        return self.compose(self)
+    def _table(self) -> "_PowerTable":
+        """The cached int64 powers ``m^1, m^2, ...`` of this map, grown as
+        :func:`_orbit_block` asks for them."""
+        return _PowerTable(self)
 
     @functools.cached_property
     def inverse(self) -> "AffineLatticeMap":
@@ -289,30 +295,72 @@ _BLOCK_CELLS = 2**12  # cap on L |K| d, the int64 entries of one orbit block
 _BLOCK_ERRORS = (ValueError, ArithmeticError, RuntimeWarning)
 
 
+class _PowerTable:
+    """The exact powers ``m^1 .. m^h`` of one map as stacked int64 arrays,
+    ``lin`` of shape ``(h, d, d)`` and ``off`` of shape ``(h, d)``.
+
+    It grows by doubling in exact Python integers: with ``m^1 .. m^h`` in
+    hand, ``m^h`` composed with each of them gives ``m^(h+1) .. m^(2h)``.
+    It keeps only the prefix of powers whose row L1 norms and offsets are
+    at most ``2**62``, the range :meth:`AffineLatticeMap.apply_many` keeps
+    to; once a power falls outside, the table is at its ``edge`` and
+    never grows again.  Row ``j`` of ``reach`` holds the largest row L1 norm
+    and the largest ``|offset|`` among ``m^1 .. m^(j+1)``.
+    """
+
+    def __init__(self, m: AffineLatticeMap):
+        d = m.dimension
+        self.lin = np.empty((0, d, d), dtype=np.int64)
+        self.off = np.empty((0, d), dtype=np.int64)
+        self.reach = np.zeros((0, 2), dtype=np.int64)
+        self.edge = False
+        self._keep(np.array([m.linear], dtype=object), np.array([m.offset], dtype=object))
+
+    def _keep(self, lin: np.ndarray, off: np.ndarray):
+        """Append the exact powers ``lin``, ``off`` (object arrays of Python
+        ints) up to the first one outside the int64 range."""
+        sizes = np.stack([np.abs(lin).sum(axis=2).max(axis=1), np.abs(off).max(axis=1)], axis=1)
+        out = np.flatnonzero((sizes > 2**62).any(axis=1))
+        h = int(out[0]) if out.size else len(sizes)
+        self.edge = bool(out.size)
+        prev = self.reach[-1:]
+        reach = np.maximum.accumulate(np.concatenate([prev, sizes[:h].astype(np.int64)]))
+        self.reach = np.concatenate([self.reach, reach[len(prev) :]])
+        self.lin = np.concatenate([self.lin, lin[:h].astype(np.int64)])
+        self.off = np.concatenate([self.off, off[:h].astype(np.int64)])
+
+    def powers(self, length: int) -> tuple:
+        """``(lin, off, row_l1, max_off)`` for ``m^1 .. m^length``: the
+        first ``length`` rows of the table and, as Python ints, row
+        ``length - 1`` of ``reach``.  :class:`DomainError` when the int64
+        prefix is shorter."""
+        while len(self.lin) < length and not self.edge:
+            lin, off = self.lin.astype(object), self.off.astype(object)
+            self._keep(lin[-1] @ lin, off @ lin[-1].T + off[-1])
+        if len(self.lin) < length:
+            raise DomainError("coordinate range exceeded in vectorized map application")
+        row_l1, max_off = self.reach[length - 1].tolist()
+        return self.lin[:length], self.off[:length], row_l1, max_off
+
+
 def _orbit_block(m: AffineLatticeMap, X: np.ndarray, length: int) -> np.ndarray:
     """The images ``m(X), ..., m^length(X)`` of the ``(k, d)`` int64 rows
     ``X``, as a ``(length, k, d)`` array, exactly.
 
-    Doubling builds it: with the first ``2^j`` images in hand, the exactly
-    composed ``m^(2^j)`` (cached per map, see ``_squared``) maps as many of
-    them as are still needed to the next ones, so the block has exactly
-    ``length`` images.  Every application goes through the overflow-safe
-    :meth:`AffineLatticeMap.apply_many`, and the block is returned only if
-    the guard of ``m`` itself also holds at ``X, ..., m^{length-1}(X)``: a
-    returned block is what ``length`` calls of ``m.apply_many`` return.
-    Otherwise :class:`DomainError`, also where only a power's guard fails,
-    so a caller that needs the images one step further retries shorter.
+    One broadcast product with the cached int64 powers of ``m`` (see
+    :class:`_PowerTable`) gives the whole block.  It runs only when the
+    a-priori guard ``|X| * row_l1 + max|offset| <= 2**62`` holds with the
+    largest row L1 norm and ``|offset|`` among ``m^1 .. m^length``, so int64
+    never wraps.  The block is returned only if the guard
+    of ``m`` itself also holds at ``X, ..., m^{length-1}(X)``: a returned
+    block is what ``length`` calls of ``m.apply_many`` return.  Otherwise
+    :class:`DomainError`, also where only the guard of a power fails, so a
+    caller that needs the images one step further retries shorter.
     """
-    k, d = X.shape
-    out = np.empty((length, k, d), dtype=np.int64)
-    out[0] = m.apply_many(X)
-    have, leap = 1, m  # leap = m^have
-    while have < length:
-        take = min(have, length - have)
-        out[have : have + take] = leap.apply_many(out[:take].reshape(-1, d)).reshape(take, k, d)
-        have += take
-        if have < length:
-            leap = leap._squared
+    lin, off, row_l1, max_off = m._table.powers(length)
+    if _abs_max(X) * row_l1 + max_off > 2**62:
+        raise DomainError("coordinate range exceeded in vectorized map application")
+    out = X @ lin.transpose(0, 2, 1) + off[:, None]
     m._check_range(out[:-1])
     return out
 
@@ -417,10 +465,10 @@ def _last_meeting_orbits(maps, powers, region: Region, horizon: int) -> int:
 
     A block holds the images ``g^{t+1}(K) .. g^{t+B}(K)`` of each
     ``g_l = m_l^{r_l}`` as a ``(B, |K|, d)`` array (``B`` a power of two).
-    The first is an :func:`_orbit_block`, and ``g_l^B``, the next power down
-    the chain that block was doubled with, advances it to the next through
-    the overflow-safe ``apply_many`` (which raises :class:`DomainError`
-    rather than wrap).  Membership in ``K`` is looked up in a
+    The first is an :func:`_orbit_block`, and ``g_l^B``, the last row of
+    the power table that block was taken from, advances it to the next
+    through the overflow-safe ``apply_many`` (which raises
+    :class:`DomainError` rather than wrap).  Membership in ``K`` is looked up in a
     :class:`_RowIndex`; two images meet where sorting their rows together
     puts two equal rows side by side.  Memory is ``O(_BLOCK_CELLS)``.
     """
@@ -430,11 +478,10 @@ def _last_meeting_orbits(maps, powers, region: Region, horizon: int) -> int:
     size = 1 << (max(1, min(horizon, _BLOCK_CELLS // (k * d))).bit_length() - 1)
     blocks, leaps = [], []
     for m, r in zip(maps, powers):
-        leap = _power(m, r)  # g = m^r
-        blocks.append(_orbit_block(leap, K, size))
-        for _ in range(size.bit_length() - 1):
-            leap = leap._squared
-        leaps.append(leap)  # g^size
+        g = _power(m, r)
+        blocks.append(_orbit_block(g, K, size))
+        lin, off, _, _ = g._table.powers(size)
+        leaps.append(AffineLatticeMap(lin[-1].tolist(), off[-1].tolist()))  # g^size
 
     def meets_K(X):
         hit = np.zeros(len(X), dtype=bool)

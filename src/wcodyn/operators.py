@@ -8,7 +8,8 @@ Iterates use the closed product formulas
 with the weight products accumulated as sums of logarithms, so magnitudes
 like ``2^100000`` stay representable as logs.  The support points walk
 together, a block of steps per numpy call: the orbit block comes from
-:func:`wcodyn.domain._orbit_block`, ``log w`` is evaluated once over it, and
+:func:`wcodyn.domain._orbit_block`, one broadcast product with the powers
+of the map that the map caches, ``log w`` is evaluated once over it, and
 ``np.add.accumulate`` sums it in the order of a step-by-step walk, so every
 bit is that walk's.
 """

@@ -11,12 +11,18 @@ from wcodyn.criteria import (
     TAIL_FOUND,
     WITNESS_FOUND,
     CriterionError,
+    CriterionProbe,
     DisjointAperiodicityError,
+    DisjointStage,
     DisjointSystem,
     OperatorFamily,
     Scenario,
+    _as_system,
     _chi_norm,
     _iterates,
+    _pairs,
+    _probe_schedule,
+    _scan,
     check_disjoint_transitivity,
     check_semi_transitivity,
     check_transitivity,
@@ -33,6 +39,7 @@ from wcodyn.spaces import (
     SampleFunction,
     TableWeight,
     WeightError,
+    inf_weight_on,
     norm,
 )
 
@@ -625,8 +632,8 @@ def test_iterates_raise_at_the_iterate_that_leaves_the_table():
     K = np.array([[x] for x in range(-2, 3)], dtype=np.int64)
     seen = []
     with pytest.raises(WeightError, match="no value at"):
-        for n, *_ in _iterates(sc.eta, (sc.operator,), (1,), K, 100):
-            seen.append(n)
+        for n0, _, _, top, _ in _iterates(sc.eta, (sc.operator,), (1,), K, 100):
+            seen += [n0 + i for i in range(len(top))]
     assert seen == list(range(1, 41))
 
 
@@ -638,3 +645,145 @@ def test_witness_before_the_table_ends_is_found():
     assert report.verdict == WITNESS_FOUND and [st_.n for st_ in report.stages] == [6, 13, 25, 49]
     with pytest.raises(WeightError, match=r"no value at \(-57,\)"):
         check_transitivity(sc, Region.box([[-2, 2]]), 100, 0.02)
+
+
+# ---------------------------------------------------------------------------
+# The scan decides a run of iterates at a time; the loop that decides one n
+# at a time is its reference
+
+
+class RecordingNorm:
+    """The l^1 norm, recording the support of every function it measures."""
+
+    def __init__(self):
+        self.seen = []
+
+    def value(self, f):
+        self.seen.append(f.support)
+        return EllPNorm(1).value(f)
+
+
+def _per_n_scan(norm, eta, ops, powers, K, horizon, tol, start):
+    """The acceptance loop of a scan that decides one ``n`` at a time, driven
+    over the rows of ``_iterates``.  Returns the fields of ``_scan``, the
+    block starts, and the iterates where the cheap indicator test passed and
+    a cross quantity then rejected."""
+    m_K = inf_weight_on(eta, K)
+    sorted_pts = K.sorted_points()
+    pts = np.array(sorted_pts, dtype=np.int64)
+    chi = _chi_norm(norm, sorted_pts)
+    probe_at = _probe_schedule(horizon)
+    pairs = _pairs(len(ops))
+    blocks = []
+
+    def cross(n, fwd):
+        out = {}
+        for s, l in pairs:
+            p, acc = fwd[s][0].copy(), np.zeros(len(pts))
+            ops[l].walk(p, acc, powers[l] * n, backward=True)
+            out[(s, l)] = eta.values(p) * np.exp(acc - fwd[s][1])
+        return out
+
+    def rows():
+        for n0, lam_f, lam_b, top, f_rows in _iterates(eta, ops, powers, pts, horizon):
+            blocks.append(n0)
+            for i in range(len(top)):
+                fwd = [(P[i], A[i]) for P, A in f_rows]
+                yield n0 + i, [v[i] for v in lam_f], [v[i] for v in lam_b], top[i], fwd
+
+    k, tau, target = 1, m_K / 2.0, 2.0
+    stages, probes, gamma_rejects = [], [], []
+    verdict = NO_WITNESS
+    with np.errstate(over="ignore", under="ignore"):
+        for n, lam_f, lam_b, top, fwd in rows():
+            gam = None
+            if n in probe_at:
+                gam = cross(n, fwd)
+                probes.append(
+                    CriterionProbe(
+                        n,
+                        max(float(v.max()) for v in lam_f),
+                        max(float(v.max()) for v in lam_b),
+                        gamma_max=max((float(g.max()) for g in gam.values()), default=None),
+                    )
+                )
+            if n < start:
+                continue
+            mask = top <= tau
+            if pairs and chi(mask) > target + 1e-12:
+                continue
+            if gam is None:
+                gam = cross(n, fwd)
+            for g in gam.values():
+                mask &= g <= tau
+            resid = chi(mask)
+            if resid > target + 1e-12:
+                if pairs:
+                    gamma_rejects.append(n)
+                continue
+            sup_f = tuple(float(v[mask].max()) if mask.any() else 0.0 for v in lam_f)
+            sup_b = tuple(float(v[mask].max()) if mask.any() else 0.0 for v in lam_b)
+            gsup = {p: float(g[mask].max()) if mask.any() else 0.0 for p, g in gam.items()}
+            admissible = tuple(pt for pt, keep in zip(sorted_pts, mask) if keep)
+            stages.append(DisjointStage(k, n, admissible, sup_f, sup_b, gsup, resid))
+            if all(v <= tol for v in (*sup_f, *sup_b, *gsup.values(), resid)):
+                verdict = WITNESS_FOUND
+                break
+            k, tau, target = k + 1, tau * 0.5, target * 0.5
+    scan = dict(verdict=verdict, stages=stages, probes=probes)
+    return scan, blocks, gamma_rejects
+
+
+def _both_scans(system, K, horizon, tol, start):
+    """``_scan`` and the per-n reference on one system, each with its own
+    recording norm; asserts that they agree and returns the reference."""
+    _, eta, ops, powers = _as_system(system)
+    got_norm, want_norm = RecordingNorm(), RecordingNorm()
+    got = _scan(got_norm, eta, ops, powers, K, horizon, tol, start)
+    want, blocks, gamma_rejects = _per_n_scan(want_norm, eta, ops, powers, K, horizon, tol, start)
+    assert got["verdict"] == want["verdict"]
+    assert got["stages"] == want["stages"]
+    assert got["probes"] == want["probes"]
+    assert got_norm.seen == want_norm.seen
+    return want, blocks, gamma_rejects
+
+
+@given(
+    unimodular_systems(),
+    st.sampled_from([0.3, 0.05, 1e-3, 1e-9]),
+    st.sampled_from([1, 7, 40, 64, 150]),
+    st.sampled_from([1, 2, 5, 17]),
+)
+@settings(deadline=None, max_examples=60)
+def test_scan_by_runs_equals_the_per_n_loop(case, tol, horizon, start):
+    system, dim = case
+    _both_scans(system, Region.box([[-1, 1]] * dim), horizon, tol, start)
+
+
+def _block_of(n, blocks):
+    return max(b for b in blocks if b <= n)
+
+
+def test_scan_by_runs_accepts_mid_block_and_across_blocks():
+    # eta = (1 + |x|)^2 under the unit shift: stages at n = 2, 3 | 4, 5, 7 |
+    # 9, 13 | 17, 24 | 33 in the blocks from 2, 4, 8, 16 and 32, so some
+    # share a block (thresholded again after each stage) and some do not.
+    # The last block runs to the horizon 40, a probe the scan never reaches.
+    scn = make_scenario(eta=RadialPowerWeight(p=2))
+    want, blocks, _ = _both_scans(scn, Region.box([[-1, 1]]), 40, 1e-3, 1)
+    assert want["verdict"] == WITNESS_FOUND
+    ns = [st_.n for st_ in want["stages"]]
+    assert ns == [2, 3, 4, 5, 7, 9, 13, 17, 24, 33]
+    assert [pr.n for pr in want["probes"]] == [1, 2, 4, 8, 16, 32]
+    homes = [_block_of(n, blocks) for n in ns]
+    assert any(n > home for n, home in zip(ns, homes))  # accepted mid-block
+    assert any(a == b for a, b in zip(homes, homes[1:]))  # two stages in one block
+    assert any(a != b for a, b in zip(homes, homes[1:]))  # a stage in a later block
+
+
+def test_scan_by_runs_walks_the_cross_leg_where_chi_passes_and_gamma_rejects():
+    # shifts by -3 and -1 at powers (1, 2): the cheap indicator test passes
+    # at iterates where a cross quantity still exceeds the threshold
+    system = make_disjoint(off1=-3, off2=-1)
+    want, _, gamma_rejects = _both_scans(system, Region.box([[-2, 2]]), 200, 1e-9, 1)
+    assert gamma_rejects and want["stages"]

@@ -411,3 +411,83 @@ def test_bounds_near_2_62_equal_exact_enumeration(maps, powers, centre):
     # apply_many and _RowIndex accept its arithmetic, else falls back
     K = Region.box([[centre - 3, centre + 3]])
     assert public_bound(maps, powers, K, 40) == enumerated_bound(maps, powers, K, 40)
+
+
+# ---------------------------------------------------------------------------
+# Orbit blocks from the cached power table
+
+CAT = ((2, 1), (1, 1))
+
+
+@st.composite
+def unimodular_linear_parts(draw):
+    """A unimodular matrix in 1-4 D: a product of elementary shears, sign
+    flips and a permutation, or in 2-D the cat map or ``[[1,0],[9,-1]]``."""
+    d = draw(st.integers(1, 4))
+    if d == 2 and draw(st.booleans()):
+        return draw(st.sampled_from([CAT, ((1, 0), (9, -1))]))
+    lin = [[int(i == j) for j in range(d)] for i in range(d)]
+    for _ in range(draw(st.integers(0, 3)) if d > 1 else 0):
+        i, j = draw(st.permutations(range(d)))[:2]
+        a = draw(st.integers(-3, 3))
+        lin[i] = [u + a * v for u, v in zip(lin[i], lin[j])]
+    perm = draw(st.permutations(range(d)))
+    signs = [draw(st.sampled_from([1, -1])) for _ in range(d)]
+    return tuple(tuple(signs[i] * v for v in lin[perm[i]]) for i in range(d))
+
+
+@given(unimodular_linear_parts(), st.data())
+@settings(deadline=None, max_examples=80)
+def test_orbit_block_equals_successive_apply_many_or_raises(linear, data):
+    d = len(linear)
+    coord = st.one_of(st.integers(-9, 9), st.integers(-(2**62), 2**62))
+    m = AffineLatticeMap(linear, data.draw(st.tuples(*[coord] * d)))
+    X = np.array(data.draw(st.lists(st.tuples(*[coord] * d), min_size=1, max_size=4)), dtype=np.int64)
+    length = data.draw(st.sampled_from([1, 2, 3, 7, 44, 45, 64, 100]))
+    try:
+        block = domain._orbit_block(m, X, length)
+    except DomainError:
+        block = None
+    pts = X
+    for i in range(length):
+        try:
+            pts = m.apply_many(pts)
+        except DomainError:
+            assert block is None
+            return
+        if block is not None:
+            assert block[i].tolist() == pts.tolist()
+    if block is None:
+        # raised for a reason: a power m^j, j <= length, lies outside the
+        # int64 range, or the guard at X with the largest row L1 norm and
+        # offset among those powers fails
+        powers, p = [], m
+        for _ in range(length):
+            powers.append(p)
+            p = m.compose(p)
+        row_l1 = max(sum(map(abs, row)) for q in powers for row in q.linear)
+        max_off = max(abs(c) for q in powers for c in q.offset)
+        reach = int(np.abs(X).astype(object).max()) * row_l1 + max_off
+        assert max(row_l1, max_off, reach) > 2**62
+
+
+def test_cat_map_table_is_built_once_and_stops_at_its_int64_edge(monkeypatch):
+    # the row L1 norm of the n-th power of the cat map is the Fibonacci
+    # number F(2n + 2), at most 2**62 up to n = 44
+    m = AffineLatticeMap(CAT, (1, 0))
+    X = np.array([(0, 0), (1, -1)], dtype=np.int64)
+    with pytest.raises(DomainError, match="coordinate range"):
+        domain._orbit_block(m, X, 64)
+    table = m._table
+    assert table.edge and len(table.lin) == len(table.off) == len(table.reach) == 44
+    builds = []
+    keep = domain._PowerTable._keep
+    monkeypatch.setattr(domain._PowerTable, "_keep", lambda *a: builds.append(a) or keep(*a))
+    with pytest.raises(DomainError, match="coordinate range"):
+        domain._orbit_block(m, X, 45)
+    block = domain._orbit_block(m, X, 44)
+    assert m._table is table and builds == []
+    pts = X
+    for row in block:
+        pts = m.apply_many(pts)
+        assert row.tolist() == pts.tolist()

@@ -351,7 +351,10 @@ def test_block_walk_raises_at_the_step_where_a_single_step_overflows():
     assert len(got) == 3
     with pytest.raises(DomainError):
         m.apply_many(got[2])
-    m._squared.apply_many(got[2])  # the power alone would have gone on
+    lin, off, _, _ = m._table.powers(2)
+    m2 = AffineLatticeMap(lin[1].tolist(), off[1].tolist())
+    assert m2 == AffineLatticeMap.translation((2, 9))
+    m2.apply_many(got[2])  # the power alone would have gone on
 
 
 def test_block_walk_raises_the_table_error_of_the_step_that_leaves_the_table():
