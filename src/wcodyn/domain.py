@@ -351,9 +351,9 @@ def _orbit_block(m: AffineLatticeMap, X: np.ndarray, length: int) -> np.ndarray:
     :class:`_PowerTable`) gives the whole block.  It runs only when the
     a-priori guard ``|X| * row_l1 + max|offset| <= 2**62`` holds with the
     largest row L1 norm and ``|offset|`` among ``m^1 .. m^length``, so int64
-    never wraps.  The block is returned only if the guard
-    of ``m`` itself also holds at ``X, ..., m^{length-1}(X)``: a returned
-    block is what ``length`` calls of ``m.apply_many`` return.  Otherwise
+    never wraps.  The block is returned only if the guard of ``m`` itself
+    also holds at ``X, ..., m^{length-1}(X)``: a returned block is what
+    ``length`` calls of ``m.apply_many`` return.  Otherwise
     :class:`DomainError`, also where only the guard of a power fails, so a
     caller that needs the images one step further retries shorter.
     """
