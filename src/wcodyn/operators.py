@@ -150,11 +150,10 @@ class WeightedCompositionOperator:
         self.walk(pts, acc, abs(n), backward=n > 0)
         if n < 0:
             acc = -acc
-        out = {}
-        for row, (_, v), a in zip(pts, items, acc):
-            mag = math.log(abs(v)) + float(a)
-            out[tuple(int(c) for c in row)] = (mag, v / abs(v))
-        return out
+        return {
+            pt: (math.log(abs(v)) + a, v / abs(v))
+            for pt, (_, v), a in zip(map(tuple, pts.tolist()), items, acc.tolist())
+        }
 
     def iterate(self, n: int, f: SampleFunction) -> SampleFunction:
         """``T^n f`` (``S^{|n|} f`` for negative ``n``) via the product formulas.
@@ -170,8 +169,11 @@ class WeightedCompositionOperator:
                     f"iterate value exceeds float range at {pt} "
                     f"(log magnitude {mag:.6g}); use iterate_log"
                 )
-            out[pt] = phase * math.exp(mag)
-        return SampleFunction(out)
+            v = phase * math.exp(mag)
+            if v:  # exp underflows to 0 below a log magnitude of about -745
+                out[pt] = v + 0
+        # the map is a bijection, so the points stay distinct int tuples
+        return SampleFunction._trusted(out)
 
     def describe(self) -> dict:
         return {"map": self.map.describe(), "symbol": self.symbol.describe()}

@@ -47,6 +47,18 @@ class SampleFunction:
 
     Zero values are pruned, so equality is support-wise.  Instances are
     immutable by convention; all arithmetic returns new objects.
+
+    ``_data`` maps points to values and always holds these invariants: every
+    key is a tuple of Python ``int`` and all keys have one length; every
+    value is a nonzero Python ``complex`` with no negative-zero part (the
+    public constructor's ``0 + value`` makes a ``-0.0`` part ``+0.0``); a
+    point appears once.  The public constructor establishes them from any
+    input.  Arithmetic that builds its dict from data that already holds
+    them (:meth:`restrict`, :meth:`scaled_by`, ``+``, ``*`` by a Python
+    number, and ``iterate`` in :mod:`wcodyn.operators`) hands it to
+    :meth:`_trusted`, which checks nothing; those callers still drop every
+    product that came out zero (an underflow) and add ``0`` to the others,
+    so the result is bit for bit the public constructor's.
     """
 
     __slots__ = ("_data",)
@@ -67,6 +79,13 @@ class SampleFunction:
                 if d[pt] == 0:
                     del d[pt]
         self._data = d
+
+    @classmethod
+    def _trusted(cls, data: dict) -> "SampleFunction":
+        """Wrap ``data``, which must already hold the class invariants."""
+        f = object.__new__(cls)
+        f._data = data
+        return f
 
     @classmethod
     def indicator(cls, points: Iterable[Sequence[int]] | Region) -> "SampleFunction":
@@ -108,15 +127,17 @@ class SampleFunction:
                 out.pop(pt, None)
             else:
                 out[pt] = s
-        f = SampleFunction.zero()
-        f._data = out
-        return f
+        return SampleFunction._trusted(out)
 
     def __sub__(self, other: "SampleFunction") -> "SampleFunction":
         return self + (-1) * other
 
     def __rmul__(self, scalar) -> "SampleFunction":
-        return SampleFunction({pt: scalar * v for pt, v in self._data.items()})
+        if type(scalar) not in (int, float, complex):  # e.g. a Fraction: validate
+            return SampleFunction({pt: scalar * v for pt, v in self._data.items()})
+        return SampleFunction._trusted(
+            {pt: s + 0 for pt, v in self._data.items() if (s := scalar * v)}
+        )
 
     def __neg__(self) -> "SampleFunction":
         return (-1) * self
@@ -124,12 +145,12 @@ class SampleFunction:
     def restrict(self, points: Iterable[Point] | Region) -> "SampleFunction":
         """The product ``f * chi_E`` for a finite set ``E``."""
         keep = points.points if isinstance(points, Region) else set(map(tuple, points))
-        return SampleFunction({pt: v for pt, v in self._data.items() if pt in keep})
+        return SampleFunction._trusted({pt: v for pt, v in self._data.items() if pt in keep})
 
     def scaled_by(self, weight: "Weight") -> "SampleFunction":
-        """Pointwise product ``f * w`` on the support."""
-        return SampleFunction(
-            {pt: v * weight.value_at(pt) for pt, v in self._data.items()}
+        """Pointwise product ``f * w`` on the support (``w`` takes float values)."""
+        return SampleFunction._trusted(
+            {pt: s + 0 for pt, v in self._data.items() if (s := v * weight.value_at(pt))}
         )
 
     def compose(self, m: AffineLatticeMap) -> "SampleFunction":
@@ -162,6 +183,11 @@ class PowerYoung:
     def __call__(self, t: float) -> float:
         return t**self.p
 
+    def modular(self, mags: list, lam: float) -> float:
+        """``sum Phi(m / lam)`` over ``mags``, correctly rounded."""
+        p = self.p
+        return math.fsum([(m / lam) ** p for m in mags])
+
     def inverse_at_one(self) -> float:
         return 1.0
 
@@ -175,6 +201,12 @@ class ExpYoung:
 
     def __call__(self, t: float) -> float:
         return math.expm1(t) if t < _LOG_MAX else math.inf
+
+    def modular(self, mags: list, lam: float) -> float:
+        """``sum Phi(m / lam)`` over ``mags``, correctly rounded."""
+        return math.fsum(
+            [math.expm1(t) if (t := m / lam) < _LOG_MAX else math.inf for m in mags]
+        )
 
     def inverse_at_one(self) -> float:
         return math.log(2.0)
@@ -194,12 +226,13 @@ class EllPNorm:
             raise SpaceError(f"norm.p: must be >= 1 (or inf), got {self.p}")
 
     def value(self, f: SampleFunction) -> float:
-        mags = [abs(v) for _, v in f.items()]
+        mags = [abs(v) for v in f._data.values()]
         if not mags:
             return 0.0
-        if math.isinf(self.p):
+        p = self.p
+        if math.isinf(p):
             return max(mags)
-        return math.fsum(m**self.p for m in mags) ** (1.0 / self.p)
+        return math.fsum([m**p for m in mags]) ** (1.0 / p)
 
     def describe(self) -> dict:
         return {"kind": "ell_p", "p": self.p}
@@ -211,7 +244,13 @@ class OrliczNorm:
 
     The bisection runs to machine precision so that the norm is monotone in
     ``|f|`` to ~1e-15, which the solidity axiom relies on; ``tol`` is only
-    validated and echoed by :meth:`describe`.
+    validated and echoed by :meth:`describe`.  Each modular is one call of
+    the Young function's ``modular``: a list of scalar terms, each a Python
+    float ``/`` and ``**`` (or ``math.expm1``), summed by ``math.fsum``.
+    The terms are scalar libm calls on purpose: numpy's vectorised ``pow``
+    and ``expm1`` may use SIMD kernels whose results differ from libm's in
+    the last bit.  ``fsum`` is correctly rounded, so the order of the terms
+    (support order, unsorted) does not change the sum.
     """
 
     young: object = PowerYoung(2.0)
@@ -222,29 +261,23 @@ class OrliczNorm:
             raise SpaceError("norm.tol: must be positive")
 
     def value(self, f: SampleFunction) -> float:
-        mags = [abs(v) for _, v in f.items()]
+        mags = [abs(v) for v in f._data.values()]
         if not mags:
             return 0.0
-        phi = self.young
-        inv1 = phi.inverse_at_one()
-
-        def modular(lam: float) -> float:
-            return math.fsum(phi(m / lam) for m in mags)
-
+        modular = self.young.modular
+        inv1 = self.young.inverse_at_one()
         lo = max(mags) / inv1  # modular(lo) >= Phi(max/lo) = 1
         hi = math.fsum(mags) / inv1  # modular(hi) <= Phi(sum/hi) = 1 by convexity
-        if modular(lo) <= 1.0:
+        if modular(mags, lo) <= 1.0:
             return lo
         for _ in range(200):
             mid = 0.5 * (lo + hi)
             if mid == lo or mid == hi:
                 break
-            if modular(mid) <= 1.0:
+            if modular(mags, mid) <= 1.0:
                 hi = mid
             else:
                 lo = mid
-            if hi - lo <= 1e-16 * hi:
-                break
         return hi
 
     def describe(self) -> dict:
@@ -292,15 +325,27 @@ class MorreyNorm:
         weights = ((2 * np.arange(r_max + 1) + 1) ** d) ** (1.0 / self.p - 1.0 / self.q)
         axis = np.arange(-r_max, r_max + 1)
         offsets = np.stack(np.meshgrid(*[axis] * d, indexing="ij"), axis=-1).reshape(-1, d)
-        # Point x puts its mass into bucket (x + o, |o|_inf) for every offset o;
-        # np.add.at sums each bucket in support order, then cumsum over radii
-        # (``which`` is flattened because numpy 2.0.0 returns it 2-D).
-        centers, which = np.unique(
-            (pts[:, None, :] + offsets).reshape(-1, d), axis=0, return_inverse=True
-        )
-        mass = np.zeros((len(centers), r_max + 1))
+        # Point x puts its mass into bucket (x + o, |o|_inf) for every offset o.
+        # Equal centres x + o get one label from a lexicographic sort of the
+        # columns and a "row differs from the previous one" mask (the labels
+        # of np.unique(axis=0)); np.bincount then sums each bucket in the
+        # order of the cells, that is in support order, from 0.0, and cumsum
+        # runs over the radii.
+        cells = (pts[:, None, :] + offsets).reshape(-1, d)
+        order = np.lexsort(cells.T[::-1])
+        ranked = cells[order]
+        new = np.empty(len(cells), dtype=bool)
+        new[0] = True
+        np.any(ranked[1:] != ranked[:-1], axis=1, out=new[1:])
+        which = np.empty(len(cells), dtype=np.intp)
+        which[order] = np.cumsum(new) - 1
+        shape = (int(new.sum()), r_max + 1)
         rings = np.tile(np.abs(offsets).max(axis=1), len(pts))
-        np.add.at(mass, (which.reshape(-1), rings), np.repeat(mags_q, len(offsets)))
+        mass = np.bincount(
+            which * shape[1] + rings,
+            weights=np.repeat(mags_q, len(offsets)),
+            minlength=shape[0] * shape[1],
+        ).reshape(shape)
         return float((weights * np.cumsum(mass, axis=1) ** (1.0 / self.q)).max())
 
     def describe(self) -> dict:

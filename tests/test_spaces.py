@@ -1,12 +1,15 @@
 import math
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from wcodyn.domain import AffineLatticeMap, DomainError, Region
+from wcodyn.operators import WeightedCompositionOperator
 from wcodyn.spaces import (
+    _LOG_MAX,
     ConstantWeight,
     EllPNorm,
     ExpYoung,
@@ -315,3 +318,189 @@ def test_scale_maps_lattice_to_real_coordinates():
     w = RadialPowerWeight(p=1, scale=0.5)
     assert w.value_at((4,)) == pytest.approx(0.5)
     assert w.value_at((2,)) == 1.0  # real coordinate 1.0, inside the unit ball
+
+
+# ---------------------------------------------------------------------------
+# Bit identity with the earlier implementations: grouping Morrey cells with
+# np.unique(axis=0), evaluating Orlicz and l^p terms in sorted point order
+# through a generator, and validating every arithmetic result again.
+
+
+def _morrey_by_unique(spec, f):
+    """``MorreyNorm.value`` with the cells grouped by ``np.unique(axis=0)``."""
+    items = f.items()
+    if not items:
+        return 0.0
+    r_max = spec.max_radius
+    pts = np.array([pt for pt, _ in items], dtype=np.int64)
+    mags_q = np.array([abs(v) ** spec.q for _, v in items])
+    d = pts.shape[1]
+    weights = ((2 * np.arange(r_max + 1) + 1) ** d) ** (1.0 / spec.p - 1.0 / spec.q)
+    axis = np.arange(-r_max, r_max + 1)
+    offsets = np.stack(np.meshgrid(*[axis] * d, indexing="ij"), axis=-1).reshape(-1, d)
+    centers, which = np.unique(
+        (pts[:, None, :] + offsets).reshape(-1, d), axis=0, return_inverse=True
+    )
+    mass = np.zeros((len(centers), r_max + 1))
+    rings = np.tile(np.abs(offsets).max(axis=1), len(pts))
+    np.add.at(mass, (which.reshape(-1), rings), np.repeat(mags_q, len(offsets)))
+    return float((weights * np.cumsum(mass, axis=1) ** (1.0 / spec.q)).max())
+
+
+def _orlicz_by_generator(spec, f):
+    """``OrliczNorm.value`` with sorted terms, a generator and a 1e-16 stop."""
+    mags = [abs(v) for _, v in f.items()]
+    if not mags:
+        return 0.0
+    phi = spec.young
+    inv1 = phi.inverse_at_one()
+
+    def modular(lam):
+        return math.fsum(phi(m / lam) for m in mags)
+
+    lo = max(mags) / inv1
+    hi = math.fsum(mags) / inv1
+    if modular(lo) <= 1.0:
+        return lo
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        if modular(mid) <= 1.0:
+            hi = mid
+        else:
+            lo = mid
+        if hi - lo <= 1e-16 * hi:
+            break
+    return hi
+
+
+def _ell_p_by_generator(spec, f):
+    mags = [abs(v) for _, v in f.items()]
+    if not mags:
+        return 0.0
+    if math.isinf(spec.p):
+        return max(mags)
+    return math.fsum(m**spec.p for m in mags) ** (1.0 / spec.p)
+
+
+_values = st.floats(-1e6, 1e6).filter(lambda v: v != 0) | st.builds(
+    complex, st.floats(-1e6, 1e6), st.floats(-1e6, 1e6)
+).filter(lambda v: v != 0)
+
+
+@given(st.data())
+@settings(deadline=None, max_examples=80)
+def test_morrey_bits_match_grouping_by_unique(data):
+    d = data.draw(st.integers(1, 3))
+    r = data.draw(st.integers(0, 10 if d < 3 else 5))
+    spread = data.draw(st.sampled_from([0, 3, 40, 10**6]))
+    base = st.tuples(*[st.integers(-spread, spread)] * d)
+    far = data.draw(st.lists(base, min_size=1, max_size=5))
+    # points within 2r of the first one share cubes with it, and many of
+    # them put several terms into one (centre, radius) bucket
+    near = data.draw(st.lists(st.tuples(*[st.integers(-2 * r, 2 * r)] * d), max_size=12))
+    pts = far + [tuple(a + b for a, b in zip(far[0], o)) for o in near]
+    vals = data.draw(st.lists(_values, min_size=len(pts), max_size=len(pts)))
+    f = SampleFunction(dict(zip(pts, vals)))
+    p = data.draw(st.floats(1.5, 6))
+    q = data.draw(st.floats(1, p).filter(lambda q: q < p))
+    spec = MorreyNorm(p, q, r)
+    assert spec.value(f).hex() == _morrey_by_unique(spec, f).hex()
+
+
+@given(
+    st.lists(_values, min_size=1, max_size=40),
+    st.one_of(st.builds(PowerYoung, st.floats(1, 6)), st.just(ExpYoung())),
+    st.floats(1, 6) | st.just(math.inf),
+    st.randoms(use_true_random=False),
+)
+@settings(deadline=None, max_examples=120)
+def test_orlicz_and_ell_p_bits_match_sorted_generators(vals, young, p, rnd):
+    pts = [(i,) for i in range(len(vals))]
+    rnd.shuffle(pts)  # insertion order differs from sorted order
+    f = SampleFunction(dict(zip(pts, vals)))
+    spec = OrliczNorm(young)
+    assert spec.value(f).hex() == _orlicz_by_generator(spec, f).hex()
+    assert EllPNorm(p).value(f).hex() == _ell_p_by_generator(EllPNorm(p), f).hex()
+
+
+@given(
+    st.lists(st.floats(1e-300, 1e300), min_size=1, max_size=20),
+    st.floats(1e-300, 1e300),
+    st.one_of(st.builds(PowerYoung, st.floats(1, 6)), st.just(ExpYoung())),
+)
+@settings(deadline=None, max_examples=120)
+def test_young_modular_matches_a_sum_of_scalar_calls(mags, lam, young):
+    # lam is free here, so exp meets ratios m / lam at and beyond _LOG_MAX
+    try:
+        want = math.fsum(young(m / lam) for m in mags)
+    except OverflowError:  # t ** p beyond the float range
+        with pytest.raises(OverflowError):
+            young.modular(mags, lam)
+        return
+    assert young.modular(mags, lam).hex() == want.hex()
+
+
+def test_exp_modular_is_inf_from_log_max_on():
+    assert ExpYoung().modular([1.0, _LOG_MAX], 1.0) == math.inf
+    assert ExpYoung().modular([1.0, 1e300], 1e-300) == math.inf
+    assert ExpYoung().modular([math.nextafter(_LOG_MAX, 0)], 1.0) < math.inf
+
+
+def _revalidated(g):
+    """The public constructor's result for ``g``'s data, and a bitwise view."""
+    again = SampleFunction(dict(g._data))
+    bits = {pt: (v.real.hex(), v.imag.hex()) for pt, v in g._data.items()}
+    want = {pt: (v.real.hex(), v.imag.hex()) for pt, v in again._data.items()}
+    assert g == again and bits == want
+    for pt, v in g._data.items():
+        assert type(v) is complex
+        assert all(type(c) is int for c in pt)
+
+
+_tiny_parts = st.sampled_from([0.0, -0.0, 1e-200, -1e-200, 5e-324, -5e-324, 1.0, -2.5, 1e200])
+
+
+@given(
+    st.lists(st.builds(complex, _tiny_parts, _tiny_parts), min_size=1, max_size=8),
+    st.sampled_from(
+        [0, 0.0, 0j, -1, -2.0, 1e-200, -1e-200, 2j, -1j, complex(-1e-200, 1e-300),
+         Fraction(-1, 3), True]
+    ),
+)
+@settings(deadline=None, max_examples=150)
+def test_arithmetic_results_are_the_public_constructors_bit_for_bit(vals, scalar):
+    f = SampleFunction({(i, -i): v for i, v in enumerate(vals)})
+    g = SampleFunction({(i, 1): 1e-200 for i in range(3)})
+    table = TableWeight({pt: w for pt, w in zip(f.support, [1e-200, 0.5, 3.0] * 3)})
+    for result in (
+        scalar * f,
+        -f,
+        f - g,
+        g - f,
+        f + g,
+        1e-200 * g,
+        f.restrict([(0, 0), (1, -1), (9, 9)]),
+        f.scaled_by(table),
+        f.scaled_by(ConstantWeight(1e-300)),
+    ):
+        _revalidated(result)
+
+
+def test_iterate_drops_underflow_and_keeps_the_constructors_bits():
+    T = WeightedCompositionOperator(
+        AffineLatticeMap.translation((1,)), ConstantWeight(1e-100), Region.box([[-9, 9]])
+    )
+    # 1e-500 and below underflow; 1e180 * 1e-500 is subnormal, and the phase
+    # (-1e-10, 1) gives a real part that underflows to -0.0
+    f = SampleFunction({(0,): 1.0, (1,): 1e180 * complex(-1e-10, 1.0), (2,): -1e200, (3,): 1e-180})
+    logs = T.iterate_log(5, f)
+    assert min(mag for mag, _ in logs.values()) < -745
+    got = T.iterate(5, f)
+    assert got.support == {(-4,), (-3,)}
+    _revalidated(got)
+    assert got[(-4,)].real.hex() == "0x0.0p+0"  # -0.0 made +0.0, as the constructor does
+    for n in (-1, 0, 3):
+        _revalidated(T.iterate(n, f))
+    assert all(type(c) is int for pt in T.iterate_log(5, f) for c in pt)
