@@ -56,9 +56,9 @@ class SampleFunction:
     input.  Arithmetic that builds its dict from data that already holds
     them (:meth:`restrict`, :meth:`scaled_by`, ``+``, ``*`` by a Python
     number, and ``iterate`` in :mod:`wcodyn.operators`) hands it to
-    :meth:`_trusted`, which checks nothing; those callers still drop every
-    product that came out zero (an underflow) and add ``0`` to the others,
-    so the result is bit for bit the public constructor's.
+    :meth:`_trusted`, which checks nothing.  Those that compute new values
+    still drop every one that came out zero (an underflow) and add ``0`` to
+    the others, so the result is bit for bit the public constructor's.
     """
 
     __slots__ = ("_data",)
