@@ -54,11 +54,12 @@ class SampleFunction:
     public constructor's ``0 + value`` makes a ``-0.0`` part ``+0.0``); a
     point appears once.  The public constructor establishes them from any
     input.  Arithmetic that builds its dict from data that already holds
-    them (:meth:`restrict`, :meth:`scaled_by`, ``+``, ``*`` by a Python
-    number, and ``iterate`` in :mod:`wcodyn.operators`) hands it to
-    :meth:`_trusted`, which checks nothing.  Those that compute new values
-    still drop every one that came out zero (an underflow) and add ``0`` to
-    the others, so the result is bit for bit the public constructor's.
+    them (:meth:`restrict`, :meth:`scaled_by`, ``+``, scalar ``*``, and
+    ``iterate`` in :mod:`wcodyn.operators`) hands it to :meth:`_trusted`,
+    which checks nothing.  Those that compute new values still pass each
+    through ``complex()``, drop every one that came out zero (an underflow)
+    and add ``0`` to the others, so the result is bit for bit the public
+    constructor's.
     """
 
     __slots__ = ("_data",)
@@ -133,10 +134,8 @@ class SampleFunction:
         return self + (-1) * other
 
     def __rmul__(self, scalar) -> "SampleFunction":
-        if type(scalar) not in (int, float, complex):  # e.g. a Fraction: validate
-            return SampleFunction({pt: scalar * v for pt, v in self._data.items()})
         return SampleFunction._trusted(
-            {pt: s + 0 for pt, v in self._data.items() if (s := scalar * v)}
+            {pt: s + 0 for pt, v in self._data.items() if (s := complex(scalar * v))}
         )
 
     def __neg__(self) -> "SampleFunction":
@@ -150,7 +149,11 @@ class SampleFunction:
     def scaled_by(self, weight: "Weight") -> "SampleFunction":
         """Pointwise product ``f * w`` on the support (``w`` takes float values)."""
         return SampleFunction._trusted(
-            {pt: s + 0 for pt, v in self._data.items() if (s := v * weight.value_at(pt))}
+            {
+                pt: s + 0
+                for pt, v in self._data.items()
+                if (s := complex(v * weight.value_at(pt)))
+            }
         )
 
     def compose(self, m: AffineLatticeMap) -> "SampleFunction":
@@ -181,7 +184,8 @@ class PowerYoung:
             raise SpaceError(f"young.p: must be >= 1, got {self.p}")
 
     def __call__(self, t: float) -> float:
-        return t**self.p
+        """``Phi(t)`` for ``t >= 0``: the modular of one term at ``lam = 1``."""
+        return self.modular([t], 1.0)
 
     def modular(self, mags: list, lam: float) -> float:
         """``sum Phi(m / lam)`` over ``mags``, correctly rounded."""
@@ -200,7 +204,8 @@ class ExpYoung:
     """Young function ``t -> e^t - 1``."""
 
     def __call__(self, t: float) -> float:
-        return math.expm1(t) if t < _LOG_MAX else math.inf
+        """``Phi(t)`` for ``t >= 0``: the modular of one term at ``lam = 1``."""
+        return self.modular([t], 1.0)
 
     def modular(self, mags: list, lam: float) -> float:
         """``sum Phi(m / lam)`` over ``mags``, correctly rounded."""
@@ -253,7 +258,7 @@ class OrliczNorm:
     (support order, unsorted) does not change the sum.
     """
 
-    young: object = PowerYoung(2.0)
+    young: PowerYoung | ExpYoung = PowerYoung(2.0)
     tol: float = 1e-10
 
     def __post_init__(self):

@@ -347,13 +347,20 @@ def _morrey_by_unique(spec, f):
     return float((weights * np.cumsum(mass, axis=1) ** (1.0 / spec.q)).max())
 
 
+def _scalar_phi(young):
+    """The scalar ``Phi`` of a Young function, written out term by term."""
+    if isinstance(young, ExpYoung):
+        return lambda t: math.expm1(t) if t < _LOG_MAX else math.inf
+    return lambda t: t**young.p
+
+
 def _orlicz_by_generator(spec, f):
     """``OrliczNorm.value`` with sorted terms, a generator and a 1e-16 stop."""
     mags = [abs(v) for _, v in f.items()]
     if not mags:
         return 0.0
-    phi = spec.young
-    inv1 = phi.inverse_at_one()
+    phi = _scalar_phi(spec.young)
+    inv1 = spec.young.inverse_at_one()
 
     def modular(lam):
         return math.fsum(phi(m / lam) for m in mags)
@@ -433,13 +440,15 @@ def test_orlicz_and_ell_p_bits_match_sorted_generators(vals, young, p, rnd):
 @settings(deadline=None, max_examples=120)
 def test_young_modular_matches_a_sum_of_scalar_calls(mags, lam, young):
     # lam is free here, so exp meets ratios m / lam at and beyond _LOG_MAX
+    phi = _scalar_phi(young)
     try:
-        want = math.fsum(young(m / lam) for m in mags)
+        want = math.fsum(phi(m / lam) for m in mags)
     except OverflowError:  # t ** p beyond the float range
         with pytest.raises(OverflowError):
             young.modular(mags, lam)
         return
     assert young.modular(mags, lam).hex() == want.hex()
+    assert [young(m / lam).hex() for m in mags] == [phi(m / lam).hex() for m in mags]
 
 
 def test_exp_modular_is_inf_from_log_max_on():
@@ -486,6 +495,14 @@ def test_arithmetic_results_are_the_public_constructors_bit_for_bit(vals, scalar
         f.scaled_by(ConstantWeight(1e-300)),
     ):
         _revalidated(result)
+
+
+def test_scaled_by_a_weight_of_numpy_type_stores_python_complex():
+    # complex * np.float32 is an np.complex64; the stored value must not be
+    f = SampleFunction({(0,): 1.5 + 2j, (1,): -0.25, (2,): 1e-45})
+    got = f.scaled_by(ConstantWeight(np.float32(0.1)))
+    assert type(got[(0,)]) is complex
+    _revalidated(got)
 
 
 def test_iterate_drops_underflow_and_keeps_the_constructors_bits():
