@@ -388,7 +388,10 @@ def _chi_norm(norm_spec, points: list) -> Callable[[np.ndarray], float]:
     @functools.cache
     def chi(mask: bytes) -> float:
         excluded = frozenset(pt for pt, keep in zip(points, mask) if not keep)
-        return norm_spec.value(SampleFunction.indicator(excluded)) if excluded else 0.0
+        if not excluded:
+            return 0.0
+        # the points are those of K, so the constructor would change nothing
+        return norm_spec.value(SampleFunction._trusted(dict.fromkeys(excluded, 1 + 0j)))
 
     return lambda mask: chi(mask.tobytes())
 

@@ -17,17 +17,19 @@ than wrap.  The operator walk (and with it the criteria scan) and the
 aperiodicity bounds both take their orbits from it.
 
 The aperiodicity and separation bounds are decided exactly up to the stated
-horizon without stepping one iterate at a time: along the orbit of ``K`` in
-int64 blocks of iterates, which fall back to the exact Python-int
-enumeration wherever int64 could not hold the orbit.  Translations stop the
-walk at the last ``n`` at which an image could still meet ``K`` or another
-image, which the extent of ``K`` bounds, so their cost does not grow with
-the horizon.
+horizon without stepping one iterate at a time.  When every linear part has
+finite order (translations, glides, signed permutations, rotations), some
+power of each map is a translation, and the bounds are decided per residue
+class of ``n`` from the images of ``K`` over one period, whatever the
+horizon.  Other maps (shears, hyperbolic maps) walk the orbit of ``K`` in
+int64 blocks of iterates up to the horizon.  Both fall back to the exact
+Python-int enumeration wherever int64 could not hold the arithmetic.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -369,12 +371,14 @@ def _orbit_block(m: AffineLatticeMap, X: np.ndarray, length: int) -> np.ndarray:
 # Aperiodicity and separation bounds
 #
 # Both bounds are ``last + 1`` (``None`` when ``last`` is the horizon) for
-# ``last``, the last ``n <= horizon`` at which some image ``m_l^{r_l n}(K)``
-# meets ``K`` or two of the images meet each other.  ``_last_meeting``
-# decides it exactly along int64 orbit blocks, and falls back to the
-# Python-int enumeration ``_last_meeting_enumerated`` when the int64 orbit
-# would leave its a-priori range.  For translations the walk stops where no
-# image can reach ``K`` or another image any more.
+# ``last``, the last ``n <= horizon`` at which some image ``g_l^n(K)``,
+# ``g_l = m_l^{r_l}``, meets ``K`` or two of the images meet each other.
+# ``_last_meeting`` decides it per residue class of ``n`` when every linear
+# part has finite order, else along int64 orbit blocks, and falls back to
+# the Python-int enumeration ``_last_meeting_enumerated`` when int64 would
+# not hold the arithmetic.
+
+_MAX_ORDER = 12  # every finite order of a d x d integer matrix, d <= 5, is at most 12
 
 
 def _last_meeting(maps, powers, region: Region, horizon: int) -> int:
@@ -385,38 +389,25 @@ def _last_meeting(maps, powers, region: Region, horizon: int) -> int:
             raise DomainError(
                 f"point has dimension {region.dimension}, map has {m.dimension}"
             )
-    if all(m.is_translation for m in maps):
-        last_possible = _translation_reach(maps, powers, region)
-        if last_possible is None:
-            return horizon
-        horizon = min(horizon, last_possible)
-        if horizon == 0:
-            return 0
+    gs = [_power(m, r) for m, r in zip(maps, powers)]
+    orders = [_linear_order(g) for g in gs]
     try:
-        return _last_meeting_orbits(maps, powers, region, horizon)
+        if None in orders:
+            return _last_meeting_orbits(gs, region, horizon)
+        return _last_meeting_periodic(gs, math.lcm(*orders), region, horizon)
     except DomainError:
         return _last_meeting_enumerated(maps, powers, region, horizon)
 
 
-def _translation_reach(maps, powers, region: Region) -> Optional[int]:
-    """The last ``n`` at which translations ``x -> x + b_l`` could still
-    give a meeting; ``None`` when they give one at every ``n``.
-
-    A meeting at ``n`` needs ``n v`` in ``K - K`` for ``v`` a drift
-    ``r_l b_l`` or a difference of two drifts, so ``n max|v|`` is at most
-    the widest extent of ``K``; a zero ``v`` is a meeting at every ``n``.
-    """
-    reach = max(max(c) - min(c) for c in zip(*region.points))
-    drifts = [tuple(r * c for c in m.offset) for m, r in zip(maps, powers)]
-    vectors = drifts + [
-        tuple(a - b for a, b in zip(drifts[s], drifts[l]))
-        for s in range(len(drifts))
-        for l in range(s + 1, len(drifts))
-    ]
-    sizes = [max(abs(c) for c in v) for v in vectors]
-    if 0 in sizes:
-        return None
-    return max(reach // size for size in sizes)
+def _linear_order(g: AffineLatticeMap) -> Optional[int]:
+    """The least ``p <= _MAX_ORDER`` with ``A^p = I`` for the linear part
+    ``A`` of ``g``, exactly in Python ints; ``None`` when there is none."""
+    h = g
+    for p in range(1, _MAX_ORDER + 1):
+        if h.is_translation:
+            return p
+        h = h.compose(g)
+    return None
 
 
 def _int64_rows(pts: Sequence[Point]) -> np.ndarray:
@@ -445,22 +436,103 @@ class _RowIndex:
             strides[i] = strides[i + 1] * (hi[i + 1] - lo[i + 1] + 1)
         if strides[0] * (hi[0] - lo[0] + 1) > 2**62 or max(map(abs, lo + hi)) >= 2**63:
             raise DomainError("coordinate range exceeded in vectorized lookup")
-        self.lo, self.hi, self.strides = (np.array(a, dtype=np.int64) for a in (lo, hi, strides))
+        self.lo, self.hi, self.strides = lo, hi, strides
         self.keys = np.array(
             [sum((c - l) * s for c, l, s in zip(p, lo, strides)) for p in pts], dtype=np.int64
         )
 
     def find(self, rows: np.ndarray) -> tuple:
         """``(i, pos)``: the indices of the ``rows`` that are in the set and
-        their positions among its sorted points."""
-        inside = np.flatnonzero(((rows >= self.lo) & (rows <= self.hi)).all(axis=1))
-        key = (rows[inside] - self.lo) @ self.strides
+        their positions among its sorted points.
+
+        The box test and the key fold over the ``d`` columns: numpy reduces
+        an axis this short at several times the cost of a column operation.
+        """
+        inside = np.ones(len(rows), dtype=bool)
+        for col, l, h in zip(rows.T, self.lo, self.hi):
+            inside &= (col >= l) & (col <= h)
+        inside = np.flatnonzero(inside)
+        cols = rows[inside].T
+        key = (cols[0] - self.lo[0]) * self.strides[0]
+        for col, l, s in zip(cols[1:], self.lo[1:], self.strides[1:]):
+            key += (col - l) * s
         pos = np.minimum(np.searchsorted(self.keys, key), len(self.keys) - 1)
         on = self.keys[pos] == key
         return inside[on], pos[on]
 
 
-def _last_meeting_orbits(maps, powers, region: Region, horizon: int) -> int:
+def _last_meeting_periodic(gs, period: int, region: Region, horizon: int) -> int:
+    """The last meeting for maps ``g_l`` with ``A_l^period = I``, decided
+    per residue class ``s`` of ``n = period q + s``, whatever the horizon.
+
+    ``g_l^period`` is then the translation by some ``t_l``, and
+    ``A_l t_l = t_l`` (``g_l`` commutes with its powers), so
+    ``g_l^{period q + s}(K) = g_l^s(K) + q t_l``.  Within a class every
+    meeting is one of translates: ``S_j + q (t_j - t_i)`` meets ``S_i`` for
+    two of the sets ``S_0 = K`` (``t_0 = 0``) and ``S_l = g_l^s(K)``, and
+    :func:`_last_shift_meeting` finds the last such ``q``.  The images come
+    from ``apply_many`` and membership from a :class:`_RowIndex`, so
+    :class:`DomainError` where int64 would not hold them.
+    """
+    drifts = [(0,) * region.dimension] + [_power(g, period).offset for g in gs]
+    K = _int64_rows(region.sorted_points())
+    index_K = _RowIndex(region.points)
+    images = [K] * len(gs)
+    last = 0
+    for s in range(min(period, horizon + 1)):
+        if s:
+            images = [g.apply_many(X) for g, X in zip(gs, images)]
+        top = (horizon - s) // period
+        if period * top + s <= last:
+            continue
+        sets = [K, *images]
+        for i, Y in enumerate(sets[:-1]):
+            index = index_K if Y is K else _RowIndex(Y.tolist())
+            for X, t in zip(sets[i + 1 :], drifts[i + 1 :]):
+                v = [b - a for a, b in zip(drifts[i], t)]
+                q = _last_shift_meeting(X, v, index, (last - s) // period + 1, top)
+                if q is not None:
+                    last = period * q + s
+    return last
+
+
+def _last_shift_meeting(X: np.ndarray, v: list, index: _RowIndex, lo: int, hi: int):
+    """The largest ``q`` in ``[lo, hi]`` (``lo >= 0``) at which the rows
+    ``X + q v`` meet the set of ``index``; ``None`` when there is none.
+
+    ``x + q v = y`` puts ``q v_c`` between ``min y_c - max x_c`` and
+    ``max y_c - min x_c`` in each coordinate ``c``, which bounds ``q``
+    where ``v_c != 0``; at ``v = 0`` every ``q`` meets or none does.  The
+    ``q`` left are walked down from the top, a block of them per lookup,
+    so the cost is linear in ``|X|`` per ``q``.
+    """
+    k, d = X.shape
+    x_lo, x_hi = X.min(axis=0).tolist(), X.max(axis=0).tolist()
+    for a, b, c, e, w in zip(x_lo, x_hi, index.lo, index.hi, v):
+        low, high = c - b, e - a  # q w lies in [low, high]
+        if w < 0:
+            low, high, w = -high, -low, -w
+        if w:
+            lo, hi = max(lo, -(-low // w)), min(hi, high // w)
+        elif low > 0 or high < 0:
+            return None
+    if hi < lo:
+        return None
+    if hi == 0 or not any(v):
+        return hi if index.find(X)[0].size else None
+    if _abs_max(X) + hi * max(map(abs, v)) >= 2**63:
+        raise DomainError("coordinate range exceeded in vectorized lookup")
+    step = np.array(v, dtype=np.int64)
+    size = max(1, _BLOCK_CELLS // (k * d))
+    for top in range(hi, lo - 1, -size):
+        qs = np.arange(top, max(lo, top - size + 1) - 1, -1, dtype=np.int64)
+        found = index.find((X + qs[:, None, None] * step).reshape(-1, d))[0]
+        if found.size:
+            return int(qs[found[0] // k])
+    return None
+
+
+def _last_meeting_orbits(gs, region: Region, horizon: int) -> int:
     """Int64 orbits of ``K``, a block of iterates at a time.
 
     A block holds the images ``g^{t+1}(K) .. g^{t+B}(K)`` of each
@@ -477,8 +549,7 @@ def _last_meeting_orbits(maps, powers, region: Region, horizon: int) -> int:
     index = _RowIndex(region.points)
     size = 1 << (max(1, min(horizon, _BLOCK_CELLS // (k * d))).bit_length() - 1)
     blocks, leaps = [], []
-    for m, r in zip(maps, powers):
-        g = _power(m, r)
+    for g in gs:
         blocks.append(_orbit_block(g, K, size))
         lin, off, _, _ = g._table.powers(size)
         leaps.append(AffineLatticeMap(lin[-1].tolist(), off[-1].tolist()))  # g^size
@@ -501,7 +572,9 @@ def _last_meeting_orbits(maps, powers, region: Region, horizon: int) -> int:
             t = np.repeat(sel, 2 * k)
             order = np.lexsort((*rows.T, t))
             rows, t = rows[order], t[order]
-            same = (rows[1:] == rows[:-1]).all(axis=1) & (t[1:] == t[:-1])
+            same = t[1:] == t[:-1]
+            for col in rows.T:  # cheaper than a reduction along rows this short
+                same &= col[1:] == col[:-1]
             hit[t[1:][same]] = True
         return hit
 
@@ -546,10 +619,10 @@ def _last_meeting_enumerated(maps, powers, region: Region, horizon: int) -> int:
 def aperiodicity_bound(m: AffineLatticeMap, region: Region, horizon: int) -> Optional[int]:
     """Smallest ``N <= horizon`` with ``K ∩ m^n(K) = ∅`` for all ``n in [N, horizon]``.
 
-    Decided exactly up to the horizon along the orbit of ``K``, in int64
-    blocks of iterates (Python ints when int64 would not suffice); for a
-    translation the orbit is walked only while ``m^n(K)`` can still reach
-    ``K``.  ``None`` when ``m^horizon(K)`` still meets ``K``
+    Decided exactly up to the horizon: per residue class of ``n`` when the
+    linear part of ``m`` has finite order, else along the orbit of ``K`` in
+    int64 blocks of iterates (Python ints when int64 would not suffice).
+    ``None`` when ``m^horizon(K)`` still meets ``K``
     (so no bound up to the horizon).  The result is a semi-decision: it says
     nothing about ``n > horizon``.
     """

@@ -63,6 +63,9 @@ class SampleFunction:
     """
 
     __slots__ = ("_data",)
+    # numpy scalars hand ``scalar * f`` to ``__rmul__`` instead of taking
+    # ``f`` for a sequence
+    __array_ufunc__ = None
 
     def __init__(self, data: Mapping[Point, complex] | Iterable = ()):
         items = data.items() if isinstance(data, Mapping) else data
@@ -339,9 +342,10 @@ class MorreyNorm:
         cells = (pts[:, None, :] + offsets).reshape(-1, d)
         order = np.lexsort(cells.T[::-1])
         ranked = cells[order]
-        new = np.empty(len(cells), dtype=bool)
+        new = np.zeros(len(cells), dtype=bool)
         new[0] = True
-        np.any(ranked[1:] != ranked[:-1], axis=1, out=new[1:])
+        for col in ranked.T:  # cheaper than a reduction along rows this short
+            new[1:] |= col[1:] != col[:-1]
         which = np.empty(len(cells), dtype=np.intp)
         which[order] = np.cumsum(new) - 1
         shape = (int(new.sum()), r_max + 1)
@@ -401,6 +405,7 @@ class ConstantWeight(Weight):
     def __post_init__(self):
         if not (self.c > 0 and math.isfinite(self.c)):
             raise WeightError(f"constant weight must be positive, got {self.c}")
+        object.__setattr__(self, "c", float(self.c))  # a float32 c would round products
 
     def value_at(self, pt: Point) -> float:
         return self.c
@@ -436,15 +441,26 @@ class RadialPowerWeight(Weight):
         r = self.scale * math.sqrt(sum(float(c) * float(c) for c in pt))
         return 1.0 if r <= 1.0 else r**-self.p
 
+    def _radii(self, pts: np.ndarray) -> np.ndarray:
+        """``scale * sqrt(x_0*x_0 + x_1*x_1 + ...)`` per row, the squares added
+        left to right one column at a time, which is how numpy sums a row
+        this short, at a fraction of the cost of a reduction along it."""
+        sq = pts.astype(np.float64)
+        sq *= sq
+        total = sq[:, 0].copy()
+        for col in sq.T[1:]:
+            total += col
+        return self.scale * np.sqrt(total)
+
     def values(self, pts: np.ndarray) -> np.ndarray:
-        r = self.scale * np.sqrt((pts.astype(np.float64) ** 2).sum(axis=1))
+        r = self._radii(pts)
         out = np.ones(len(pts))
         m = r > 1.0
         out[m] = r[m] ** -self.p
         return out
 
     def log_values(self, pts: np.ndarray) -> np.ndarray:
-        r = self.scale * np.sqrt((pts.astype(np.float64) ** 2).sum(axis=1))
+        r = self._radii(pts)
         out = np.zeros(len(pts))
         m = r > 1.0
         out[m] = -self.p * np.log(r[m])
@@ -471,7 +487,7 @@ class TableWeight(Weight):
         if default is not None and not (default > 0 and math.isfinite(default)):
             raise WeightError("table default must be positive")
         self._table = tbl
-        self.default = default
+        self.default = None if default is None else float(default)
         self._lookups = {}
 
     def value_at(self, pt: Point) -> float:

@@ -350,6 +350,83 @@ def test_quarter_turn_with_offset_returns_to_K():
     assert enumerated_bound([m], [1], K, 403) is None
 
 
+ROTATIONS_2D = [((0, -1), (1, -1)), ((0, -1), (1, 0)), ((1, -1), (1, 0))]  # orders 3, 4, 6
+
+
+@st.composite
+def finite_order_linear_parts(draw, d):
+    """A ``d x d`` integer matrix of finite order: a block diagonal of signs,
+    swaps and the rotations of order 3, 4 and 6, conjugated by a signed
+    permutation and, in 2-4 D, by an elementary shear."""
+    blocks, i = [], 0
+    while i < d:
+        if d - i >= 2 and draw(st.booleans()):
+            blocks.append(draw(st.sampled_from(ROTATIONS_2D + [((0, 1), (1, 0))])))
+            i += 2
+        else:
+            blocks.append(((draw(st.sampled_from([1, -1])),),))
+            i += 1
+    B = [[0] * d for _ in range(d)]
+    i = 0
+    for blk in blocks:
+        for r, row in enumerate(blk):
+            B[i + r][i : i + len(row)] = row
+        i += len(blk)
+    # conjugate by a signed permutation S (S^-1 = S^T) ...
+    perm = draw(st.permutations(range(d)))
+    signs = [draw(st.sampled_from([1, -1])) for _ in range(d)]
+    B = [[signs[r] * signs[c] * B[perm[r]][perm[c]] for c in range(d)] for r in range(d)]
+    # ... and by the shear U = I + a e_i e_j^T (U^-1 = I - a e_i e_j^T)
+    if d > 1:
+        i, j = draw(st.permutations(range(d)))[:2]
+        a = draw(st.integers(-2, 2))
+        B[i] = [u + a * v for u, v in zip(B[i], B[j])]  # U B
+        for row in B:
+            row[j] -= a * row[i]  # (U B) U^-1
+    return tuple(map(tuple, B))
+
+
+@given(st.data())
+@settings(deadline=None, max_examples=150)
+def test_finite_order_bounds_equal_exact_enumeration(data):
+    # signed permutations, glides, rotations of order 3, 4 and 6, powers 1-3,
+    # non-commuting pairs and translations mixed in, in 1-4 D
+    d = data.draw(st.integers(1, 4))
+    n_maps = data.draw(st.integers(1, 3))
+    maps = [
+        AffineLatticeMap(data.draw(finite_order_linear_parts(d)), data.draw(points(d, -3, 3)))
+        for _ in range(n_maps)
+    ]
+    if n_maps > 1 and data.draw(st.booleans()):
+        maps[data.draw(st.integers(0, n_maps - 1))] = shift(*data.draw(points(d, -2, 2)))
+    powers = [1] if n_maps == 1 else sorted(
+        data.draw(st.sets(st.integers(1, 3), min_size=n_maps, max_size=n_maps))
+    )
+    K = Region.of(data.draw(st.lists(points(d, -3, 3), min_size=1, max_size=8)))
+    horizon = data.draw(st.integers(1, 120))
+    assert public_bound(maps, powers, K, horizon) == enumerated_bound(maps, powers, K, horizon)
+
+
+def test_finite_order_bounds_do_not_walk_the_orbit(monkeypatch):
+    # the quarter turn (x, y) -> (1 - y, x) returns K every fourth step and
+    # the glide (x, y) -> (x + 1, -y) squares to a translation: both are
+    # decided per residue class, so a horizon of 10**12 costs what 403 does
+    def no_walk(*args):
+        raise AssertionError("orbit walked")
+
+    monkeypatch.setattr(domain, "_last_meeting_orbits", no_walk)
+    K = Region.box([[0, 1], [0, 1]])
+    turn = AffineLatticeMap(((0, -1), (1, 0)), (1, 0))
+    glide = AffineLatticeMap(((1, 0), (0, -1)), (1, 0))
+    for horizon in (403, 10**12):
+        assert aperiodicity_bound(turn, K, horizon) is None
+        assert aperiodicity_bound(glide, K, horizon) == 2
+        assert disjoint_aperiodicity_bound([glide, turn], [1, 2], K, horizon) is None
+    assert enumerated_bound([turn], [1], K, 403) is None
+    assert enumerated_bound([glide], [1], K, 403) == 2
+    assert enumerated_bound([glide, turn], [1, 2], K, 403) is None
+
+
 def test_hyperbolic_map_falls_back_to_exact_enumeration(monkeypatch):
     m = AffineLatticeMap(((2, 1), (1, 1)), (0, 0))
     K = Region.box([[0, 4], [0, 4]])
@@ -491,3 +568,37 @@ def test_cat_map_table_is_built_once_and_stops_at_its_int64_edge(monkeypatch):
     for row in block:
         pts = m.apply_many(pts)
         assert row.tolist() == pts.tolist()
+
+
+def _find_by_row_reductions(index, rows):
+    """``_RowIndex.find`` with the box test and the key reduced along each
+    row, as they were written before the column fold."""
+    lo, hi, strides = (np.array(a, dtype=np.int64) for a in (index.lo, index.hi, index.strides))
+    inside = np.flatnonzero(((rows >= lo) & (rows <= hi)).all(axis=1))
+    key = (rows[inside] - lo) @ strides
+    pos = np.minimum(np.searchsorted(index.keys, key), len(index.keys) - 1)
+    on = index.keys[pos] == key
+    return inside[on], pos[on]
+
+
+@given(st.integers(1, 4), st.data())
+@settings(deadline=None, max_examples=150)
+def test_row_index_find_matches_row_reductions(d, data):
+    base = data.draw(st.tuples(*[st.integers(-(2**62), 2**62) | st.integers(-9, 9)] * d))
+    near = st.tuples(*[st.integers(-3, 3)] * d)
+    offsets = data.draw(st.lists(near, min_size=1, max_size=10))
+    pts = {tuple(b + o for b, o in zip(base, off)) for off in offsets}
+    index = domain._RowIndex(sorted(pts))
+    # rows in the set, near it (outside the box too) and anywhere in int64
+    anywhere = st.tuples(*[st.integers(-(2**63), 2**63 - 1)] * d)
+    queries = data.draw(st.lists(
+        st.sampled_from(sorted(pts))
+        | near.map(lambda off: tuple(b + 2 * o for b, o in zip(base, off)))
+        | anywhere,
+        min_size=1, max_size=20,
+    ))
+    queries = [q for q in queries if all(-(2**63) <= c < 2**63 for c in q)]
+    rows = np.array(queries, dtype=np.int64).reshape(-1, d)
+    got, want = index.find(rows), _find_by_row_reductions(index, rows)
+    assert got[0].tolist() == want[0].tolist() and got[1].tolist() == want[1].tolist()
+    assert [tuple(rows[i]) for i in got[0]] == [sorted(pts)[p] for p in got[1]]

@@ -521,3 +521,60 @@ def test_iterate_drops_underflow_and_keeps_the_constructors_bits():
     for n in (-1, 0, 3):
         _revalidated(T.iterate(n, f))
     assert all(type(c) is int for pt in T.iterate_log(5, f) for c in pt)
+
+
+def _bits(f):
+    return {pt: (v.real.hex(), v.imag.hex()) for pt, v in f._data.items()}
+
+
+def test_numpy_scalar_times_a_function_is_the_python_scalar_product():
+    f = SampleFunction({(0,): 1.0, (1,): -2.5 + 1e-200j, (2,): complex(3e-300, -7.0)})
+    for scalar in (np.float64(-0.5), np.int64(3), np.complex128(1j)):
+        got = scalar * f
+        want = scalar.item() * f
+        assert type(got) is SampleFunction and _bits(got) == _bits(want)
+        _revalidated(got)
+
+
+def test_float32_weights_scale_in_double_precision():
+    f = SampleFunction({(0,): 1e200j})
+    got = f.scaled_by(ConstantWeight(np.float32(0.1)))
+    assert math.isfinite(abs(got[(0,)]))
+    assert _bits(got) == _bits(f.scaled_by(ConstantWeight(float(np.float32(0.1)))))
+    table = TableWeight({(1,): 2.0}, default=np.float32(0.1))
+    assert type(table.default) is float
+    assert _bits(f.scaled_by(table)) == _bits(got)
+
+
+def _radii_by_row_sums(w, pts):
+    return w.scale * np.sqrt((pts.astype(np.float64) ** 2).sum(axis=1))
+
+
+def _radial_by_row_sums(w, pts, log):
+    """``RadialPowerWeight.values``/``log_values`` with the squares summed
+    along each row, as they were written before the column fold."""
+    r = _radii_by_row_sums(w, pts)
+    out = np.zeros(len(pts)) if log else np.ones(len(pts))
+    m = r > 1.0
+    out[m] = -w.p * np.log(r[m]) if log else r[m] ** -w.p
+    return out
+
+
+@given(
+    st.integers(1, 4),
+    st.sampled_from([9, 2**26, 2**40, 2**62]),
+    st.integers(0, 2**32 - 1),
+    st.floats(0.1, 4),
+    st.floats(1e-3, 10),
+)
+@settings(deadline=None, max_examples=150)
+def test_radial_values_match_row_sums_bit_for_bit(d, bound, seed, p, scale):
+    # coordinates beyond 2**26 make the squares and their sums round
+    pts = np.random.default_rng(seed).integers(-bound, bound, size=(40, d), endpoint=True)
+    w = RadialPowerWeight(p, scale)
+    assert [v.hex() for v in w._radii(pts).tolist()] == [
+        v.hex() for v in _radii_by_row_sums(w, pts).tolist()
+    ]
+    for got, log in ((w.values(pts), False), (w.log_values(pts), True)):
+        want = _radial_by_row_sums(w, pts, log)
+        assert [v.hex() for v in got.tolist()] == [v.hex() for v in want.tolist()]
