@@ -260,16 +260,16 @@ class Region:
 
 
 def _power(m: AffineLatticeMap, k: int) -> AffineLatticeMap:
-    """The map ``m^k`` for ``k >= 0``, composed exactly by square-and-multiply."""
-    acc = AffineLatticeMap.identity(m.dimension)
-    sq = m
+    """The map ``m^k`` for ``k >= 0``, composed exactly by square-and-multiply
+    (``m`` itself for ``k = 1``)."""
+    acc, sq = None, m
     while k:
         if k & 1:
-            acc = sq.compose(acc)
+            acc = sq if acc is None else sq.compose(acc)
         k >>= 1
         if k:
             sq = sq.compose(sq)
-    return acc
+    return AffineLatticeMap.identity(m.dimension) if acc is None else acc
 
 
 def iterate_point(m: AffineLatticeMap, n: int, x: Sequence[int]) -> Point:
@@ -390,22 +390,23 @@ def _last_meeting(maps, powers, region: Region, horizon: int) -> int:
                 f"point has dimension {region.dimension}, map has {m.dimension}"
             )
     gs = [_power(m, r) for m, r in zip(maps, powers)]
-    orders = [_linear_order(g) for g in gs]
+    periods = [_period(g) for g in gs]
     try:
-        if None in orders:
+        if None in periods:
             return _last_meeting_orbits(gs, region, horizon)
-        return _last_meeting_periodic(gs, math.lcm(*orders), region, horizon)
+        return _last_meeting_periodic(gs, periods, region, horizon)
     except DomainError:
         return _last_meeting_enumerated(maps, powers, region, horizon)
 
 
-def _linear_order(g: AffineLatticeMap) -> Optional[int]:
-    """The least ``p <= _MAX_ORDER`` with ``A^p = I`` for the linear part
-    ``A`` of ``g``, exactly in Python ints; ``None`` when there is none."""
+def _period(g: AffineLatticeMap) -> Optional[tuple]:
+    """``(p, t)``: the least ``p <= _MAX_ORDER`` with ``A^p = I`` for the
+    linear part ``A`` of ``g``, and the offset ``t`` of the translation
+    ``g^p``, exactly in Python ints; ``None`` when there is no such ``p``."""
     h = g
     for p in range(1, _MAX_ORDER + 1):
         if h.is_translation:
-            return p
+            return p, h.offset
         h = h.compose(g)
     return None
 
@@ -461,63 +462,79 @@ class _RowIndex:
         return inside[on], pos[on]
 
 
-def _last_meeting_periodic(gs, period: int, region: Region, horizon: int) -> int:
-    """The last meeting for maps ``g_l`` with ``A_l^period = I``, decided
-    per residue class ``s`` of ``n = period q + s``, whatever the horizon.
+def _last_meeting_periodic(gs, periods, region: Region, horizon: int) -> int:
+    """The last meeting for maps ``g_l`` whose linear parts ``A_l`` have
+    finite order, decided per residue class ``s`` of ``n = P q + s``,
+    whatever the horizon; ``periods`` holds each map's :func:`_period`.
 
-    ``g_l^period`` is then the translation by some ``t_l``, and
-    ``A_l t_l = t_l`` (``g_l`` commutes with its powers), so
-    ``g_l^{period q + s}(K) = g_l^s(K) + q t_l``.  Within a class every
-    meeting is one of translates: ``S_j + q (t_j - t_i)`` meets ``S_i`` for
-    two of the sets ``S_0 = K`` (``t_0 = 0``) and ``S_l = g_l^s(K)``, and
-    :func:`_last_shift_meeting` finds the last such ``q``.  The images come
-    from ``apply_many`` and membership from a :class:`_RowIndex`, so
+    For ``P`` the lcm of the orders, ``g_l^P`` is the translation by some
+    ``t_l``, and ``A_l t_l = t_l`` (``g_l`` commutes with its powers), so
+    ``g_l^{P q + s}(K) = g_l^s(K) + q t_l``.  Within a class every meeting
+    is one of translates: ``S_j + q (t_j - t_i)`` meets ``S_i`` for two of
+    the sets ``S_0 = K`` (``t_0 = 0``) and ``S_l = g_l^s(K)``.  The bounding
+    boxes of the two sets bound ``q`` (:func:`_shift_range`), and
+    :func:`_last_shift_meeting` walks what is left.  The images come from
+    ``apply_many`` and membership from a :class:`_RowIndex`, so
     :class:`DomainError` where int64 would not hold them.
     """
-    drifts = [(0,) * region.dimension] + [_power(g, period).offset for g in gs]
-    K = _int64_rows(region.sorted_points())
-    index_K = _RowIndex(region.points)
+    P = math.lcm(*(p for p, _ in periods))
+    pts = region.sorted_points()
+    drifts = [(0,) * len(pts[0])] + [tuple(P // p * c for c in t) for p, t in periods]
+    K = _int64_rows(pts)
     images = [K] * len(gs)
+    boxes = [(list(map(min, zip(*pts))), list(map(max, zip(*pts))))] * (len(gs) + 1)
     last = 0
-    for s in range(min(period, horizon + 1)):
+    for s in range(min(P, horizon + 1)):
         if s:
             images = [g.apply_many(X) for g, X in zip(gs, images)]
-        top = (horizon - s) // period
-        if period * top + s <= last:
-            continue
+            boxes[1:] = [(X.min(axis=0).tolist(), X.max(axis=0).tolist()) for X in images]
+        top = (horizon - s) // P
         sets = [K, *images]
-        for i, Y in enumerate(sets[:-1]):
-            index = index_K if Y is K else _RowIndex(Y.tolist())
-            for X, t in zip(sets[i + 1 :], drifts[i + 1 :]):
-                v = [b - a for a, b in zip(drifts[i], t)]
-                q = _last_shift_meeting(X, v, index, (last - s) // period + 1, top)
+        indexes = {}  # by id(set), built when a walk needs one
+        for i, Y in enumerate(sets):
+            for j in range(i + 1, len(sets)):
+                v = [b - a for a, b in zip(drifts[i], drifts[j])]
+                lo, hi = _shift_range(boxes[j], boxes[i], v, (last - s) // P + 1, top)
+                if lo > hi:
+                    continue
+                if id(Y) not in indexes:
+                    indexes[id(Y)] = _RowIndex(Y.tolist())
+                q = _last_shift_meeting(sets[j], v, indexes[id(Y)], lo, hi)
                 if q is not None:
-                    last = period * q + s
+                    last = P * q + s
     return last
 
 
-def _last_shift_meeting(X: np.ndarray, v: list, index: _RowIndex, lo: int, hi: int):
-    """The largest ``q`` in ``[lo, hi]`` (``lo >= 0``) at which the rows
-    ``X + q v`` meet the set of ``index``; ``None`` when there is none.
+def _shift_range(box_x, box_y, v: list, lo: int, hi: int) -> tuple:
+    """The part of ``[lo, hi]`` (empty when ``lo > hi``) that holds every
+    ``q`` with ``x + q v = y`` for some ``x`` in the box ``box_x`` and ``y``
+    in ``box_y``, each box a pair ``(min, max)`` of coordinate lists.
 
     ``x + q v = y`` puts ``q v_c`` between ``min y_c - max x_c`` and
-    ``max y_c - min x_c`` in each coordinate ``c``, which bounds ``q``
-    where ``v_c != 0``; at ``v = 0`` every ``q`` meets or none does.  The
-    ``q`` left are walked down from the top, a block of them per lookup,
-    so the cost is linear in ``|X|`` per ``q``.
+    ``max y_c - min x_c`` in each coordinate ``c``; a zero ``v_c`` leaves
+    ``q`` free where the boxes overlap in ``c`` and empties the range where
+    they do not.
     """
-    k, d = X.shape
-    x_lo, x_hi = X.min(axis=0).tolist(), X.max(axis=0).tolist()
-    for a, b, c, e, w in zip(x_lo, x_hi, index.lo, index.hi, v):
+    for a, b, c, e, w in zip(*box_x, *box_y, v):
         low, high = c - b, e - a  # q w lies in [low, high]
         if w < 0:
             low, high, w = -high, -low, -w
         if w:
             lo, hi = max(lo, -(-low // w)), min(hi, high // w)
         elif low > 0 or high < 0:
-            return None
-    if hi < lo:
-        return None
+            return lo, lo - 1
+    return lo, hi
+
+
+def _last_shift_meeting(X: np.ndarray, v: list, index: _RowIndex, lo: int, hi: int):
+    """The largest ``q`` in ``[lo, hi]`` (``0 <= lo <= hi``) at which the
+    rows ``X + q v`` meet the set of ``index``; ``None`` when there is none.
+
+    At ``v = 0`` every ``q`` meets or none does.  Otherwise the ``q`` are
+    walked down from ``hi``, a block of them per lookup, so the cost is
+    linear in ``|X|`` per ``q``.
+    """
+    k, d = X.shape
     if hi == 0 or not any(v):
         return hi if index.find(X)[0].size else None
     if _abs_max(X) + hi * max(map(abs, v)) >= 2**63:
