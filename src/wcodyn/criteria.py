@@ -114,10 +114,6 @@ class DisjointSystem:
         object.__setattr__(self, "operators", ops)
         object.__setattr__(self, "powers", r)
 
-    @property
-    def n_ops(self) -> int:
-        return len(self.operators)
-
     def describe(self) -> dict:
         return {
             "norm": self.norm.describe(),

@@ -12,22 +12,24 @@ Orbits are stepped a block of iterates at a time: ``_orbit_block`` returns
 the exact-length block ``m(X), ..., m^L(X)`` as one ``(L, |X|, d)`` int64
 array, one broadcast product with the exact powers ``m^1 .. m^L``, which
 each map caches as stacked int64 arrays (a power table, grown by doubling
-in Python integers).  Like ``apply_many`` it raises ``DomainError`` rather
-than wrap.  The operator walk (and with it the criteria scan) and the
-aperiodicity bounds both take their orbits from it.
+in Python integers), its only int64 copy: ``apply_many`` multiplies by the
+first row.  Both raise ``DomainError`` rather than wrap.  The operator walk
+(and with it the criteria scan) and the orbit walk of the bounds take their
+orbits from it.
 
 The aperiodicity and separation bounds are decided exactly up to the stated
 horizon without stepping one iterate at a time.  When every linear part has
 finite order (translations, glides, signed permutations, rotations), some
 power of each map is a translation, and the bounds are decided per residue
-class of ``n`` from the images of ``K`` over one period, whatever the
-horizon.  Other maps (shears, hyperbolic maps) walk the orbit of ``K`` in
-int64 blocks of iterates up to the horizon.  Both fall back to the exact
-Python-int enumeration wherever int64 could not hold the arithmetic.
+class of ``n`` in Python integers, whatever the horizon and the coordinates.
+Other maps (shears, hyperbolic maps) walk the orbit of ``K`` in int64
+blocks of iterates, falling back to the exact Python-int enumeration
+wherever int64 could not hold the arithmetic.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from dataclasses import dataclass
@@ -46,10 +48,13 @@ def _as_point(x: Sequence[int]) -> Point:
     return tuple(int(c) for c in x)
 
 
-def _abs_max(pts: np.ndarray) -> int:
-    """The largest ``|c|`` over the int64 array ``pts`` (0 when empty), as a
-    Python int; a uint64 view keeps ``|INT64_MIN| = 2**63`` from wrapping."""
-    return int(np.abs(pts).view(np.uint64).max(initial=0))
+def _check_range(pts: np.ndarray, row_l1: int, max_off: int):
+    """The guard of an int64 product with a map of largest row L1 norm
+    ``row_l1`` and largest ``|offset|`` ``max_off``: :class:`DomainError`
+    unless ``|x| * row_l1 + max_off <= 2**62`` for every coordinate ``x`` of
+    ``pts``.  A uint64 view keeps ``|INT64_MIN| = 2**63`` from wrapping."""
+    if int(np.abs(pts).view(np.uint64).max(initial=0)) * row_l1 + max_off > 2**62:
+        raise DomainError("coordinate range exceeded in vectorized map application")
 
 
 def _int_det(rows: Sequence[Sequence[int]]) -> int:
@@ -139,41 +144,16 @@ class AffineLatticeMap:
         )
 
     def apply_many(self, pts: np.ndarray) -> np.ndarray:
-        """Vectorized image of an ``(m, d)`` int64 array of points.
+        """Vectorized image of an ``(m, d)`` int64 array of points, the first
+        row of the map's power table (:class:`_PowerTable`).
 
         Raises :class:`DomainError` unless every coordinate of the image is
         bounded by ``2**62`` a priori, so int64 arithmetic never wraps (the
         exact scalar path never does).
         """
-        lin, off, _, _ = self._int64_constants
-        self._check_range(pts)
-        return pts @ lin.T + off
-
-    def _check_range(self, pts: np.ndarray):
-        """The guard of :meth:`apply_many`: :class:`DomainError` unless
-        ``|x| * row_l1 + max|offset| <= 2**62`` for every coordinate of ``pts``."""
-        _, _, row_l1, max_off = self._int64_constants
-        if _abs_max(pts) * row_l1 + max_off > 2**62:
-            raise DomainError("coordinate range exceeded in vectorized map application")
-
-    @functools.cached_property
-    def _int64_constants(self) -> tuple:
-        """``(linear, offset)`` as int64 arrays, the largest row L1 norm of
-        the linear part and the largest ``|offset|``, as Python ints.
-
-        Raises :class:`DomainError` when either exceeds ``2**62``, the range
-        :meth:`apply_many` keeps to.
-        """
-        row_l1 = max(sum(abs(v) for v in row) for row in self.linear)
-        max_off = max(abs(c) for c in self.offset)
-        if max(row_l1, max_off) > 2**62:
-            raise DomainError("coordinate range exceeded in vectorized map application")
-        return (
-            np.array(self.linear, dtype=np.int64),
-            np.array(self.offset, dtype=np.int64),
-            row_l1,
-            max_off,
-        )
+        lin, off, row_l1, max_off = self._table.powers(1)
+        _check_range(pts, row_l1, max_off)
+        return pts @ lin[0].T + off[0]
 
     @functools.cached_property
     def _table(self) -> "_PowerTable":
@@ -307,16 +287,18 @@ class _PowerTable:
     at most ``2**62``, the range :meth:`AffineLatticeMap.apply_many` keeps
     to; once a power falls outside, the table is at its ``edge`` and
     never grows again.  Row ``j`` of ``reach`` holds the largest row L1 norm
-    and the largest ``|offset|`` among ``m^1 .. m^(j+1)``.
+    and the largest ``|offset|`` among ``m^1 .. m^(j+1)``.  Row 0 is ``m``
+    itself, the one int64 copy that ``apply_many`` multiplies by.
     """
 
     def __init__(self, m: AffineLatticeMap):
-        d = m.dimension
-        self.lin = np.empty((0, d, d), dtype=np.int64)
-        self.off = np.empty((0, d), dtype=np.int64)
-        self.reach = np.zeros((0, 2), dtype=np.int64)
-        self.edge = False
-        self._keep(np.array([m.linear], dtype=object), np.array([m.offset], dtype=object))
+        # row 0 in Python ints: many maps are built for one apply_many
+        reach = [max(sum(map(abs, row)) for row in m.linear), max(map(abs, m.offset))]
+        self.edge = max(reach) > 2**62
+        h, d = 0 if self.edge else 1, m.dimension
+        self.lin = np.array([m.linear][:h], dtype=np.int64).reshape(h, d, d)
+        self.off = np.array([m.offset][:h], dtype=np.int64).reshape(h, d)
+        self.reach = np.array([reach][:h], dtype=np.int64).reshape(h, 2)
 
     def _keep(self, lin: np.ndarray, off: np.ndarray):
         """Append the exact powers ``lin``, ``off`` (object arrays of Python
@@ -360,10 +342,9 @@ def _orbit_block(m: AffineLatticeMap, X: np.ndarray, length: int) -> np.ndarray:
     caller that needs the images one step further retries shorter.
     """
     lin, off, row_l1, max_off = m._table.powers(length)
-    if _abs_max(X) * row_l1 + max_off > 2**62:
-        raise DomainError("coordinate range exceeded in vectorized map application")
+    _check_range(X, row_l1, max_off)
     out = X @ lin.transpose(0, 2, 1) + off[:, None]
-    m._check_range(out[:-1])
+    _check_range(out[:-1], *m._table.reach[0].tolist())
     return out
 
 
@@ -373,10 +354,10 @@ def _orbit_block(m: AffineLatticeMap, X: np.ndarray, length: int) -> np.ndarray:
 # Both bounds are ``last + 1`` (``None`` when ``last`` is the horizon) for
 # ``last``, the last ``n <= horizon`` at which some image ``g_l^n(K)``,
 # ``g_l = m_l^{r_l}``, meets ``K`` or two of the images meet each other.
-# ``_last_meeting`` decides it per residue class of ``n`` when every linear
-# part has finite order, else along int64 orbit blocks, and falls back to
-# the Python-int enumeration ``_last_meeting_enumerated`` when int64 would
-# not hold the arithmetic.
+# ``_last_meeting`` decides it per residue class of ``n`` in Python integers
+# when every linear part has finite order.  Otherwise it walks int64 orbit
+# blocks, and falls back to the Python-int enumeration
+# ``_last_meeting_enumerated`` when int64 would not hold the arithmetic.
 
 _MAX_ORDER = 12  # every finite order of a d x d integer matrix, d <= 5, is at most 12
 
@@ -391,10 +372,10 @@ def _last_meeting(maps, powers, region: Region, horizon: int) -> int:
             )
     gs = [_power(m, r) for m, r in zip(maps, powers)]
     periods = [_period(g) for g in gs]
-    try:
-        if None in periods:
-            return _last_meeting_orbits(gs, region, horizon)
+    if None not in periods:
         return _last_meeting_periodic(gs, periods, region, horizon)
+    try:
+        return _last_meeting_orbits(gs, region, horizon)
     except DomainError:
         return _last_meeting_enumerated(maps, powers, region, horizon)
 
@@ -473,33 +454,32 @@ def _last_meeting_periodic(gs, periods, region: Region, horizon: int) -> int:
     is one of translates: ``S_j + q (t_j - t_i)`` meets ``S_i`` for two of
     the sets ``S_0 = K`` (``t_0 = 0``) and ``S_l = g_l^s(K)``.  The bounding
     boxes of the two sets bound ``q`` (:func:`_shift_range`), and
-    :func:`_last_shift_meeting` walks what is left.  The images come from
-    ``apply_many`` and membership from a :class:`_RowIndex`, so
-    :class:`DomainError` where int64 would not hold them.
+    :func:`_last_shift_meeting` finds the last ``q`` in what is left.  The
+    images are products of object arrays of Python ints, so exact at any
+    coordinate size.
     """
     P = math.lcm(*(p for p, _ in periods))
-    pts = region.sorted_points()
-    drifts = [(0,) * len(pts[0])] + [tuple(P // p * c for c in t) for p, t in periods]
-    K = _int64_rows(pts)
+    K = np.array(region.sorted_points(), dtype=object)
+    drifts = [(0,) * K.shape[1]] + [tuple(P // p * c for c in t) for p, t in periods]
     images = [K] * len(gs)
-    boxes = [(list(map(min, zip(*pts))), list(map(max, zip(*pts))))] * (len(gs) + 1)
+    boxes = [(K.min(axis=0).tolist(), K.max(axis=0).tolist())] * (len(gs) + 1)
     last = 0
     for s in range(min(P, horizon + 1)):
         if s:
-            images = [g.apply_many(X) for g, X in zip(gs, images)]
+            images = [
+                X @ np.array(g.linear, dtype=object).T + np.array(g.offset, dtype=object)
+                for g, X in zip(gs, images)
+            ]
             boxes[1:] = [(X.min(axis=0).tolist(), X.max(axis=0).tolist()) for X in images]
         top = (horizon - s) // P
         sets = [K, *images]
-        indexes = {}  # by id(set), built when a walk needs one
         for i, Y in enumerate(sets):
             for j in range(i + 1, len(sets)):
                 v = [b - a for a, b in zip(drifts[i], drifts[j])]
                 lo, hi = _shift_range(boxes[j], boxes[i], v, (last - s) // P + 1, top)
                 if lo > hi:
                     continue
-                if id(Y) not in indexes:
-                    indexes[id(Y)] = _RowIndex(Y.tolist())
-                q = _last_shift_meeting(sets[j], v, indexes[id(Y)], lo, hi)
+                q = _last_shift_meeting(sets[j], v, Y, lo, hi)
                 if q is not None:
                     last = P * q + s
     return last
@@ -526,50 +506,58 @@ def _shift_range(box_x, box_y, v: list, lo: int, hi: int) -> tuple:
     return lo, hi
 
 
-def _last_shift_meeting(X: np.ndarray, v: list, index: _RowIndex, lo: int, hi: int):
+def _last_shift_meeting(X: np.ndarray, v: list, Y: np.ndarray, lo: int, hi: int):
     """The largest ``q`` in ``[lo, hi]`` (``0 <= lo <= hi``) at which the
-    rows ``X + q v`` meet the set of ``index``; ``None`` when there is none.
+    points ``X + q v`` meet the points ``Y``, both ``(k, d)`` object arrays
+    of Python ints; ``None`` when there is none.
 
-    At ``v = 0`` every ``q`` meets or none does.  Otherwise the ``q`` are
-    walked down from ``hi``, a block of them per lookup, so the cost is
-    linear in ``|X|`` per ``q``.
+    At ``v = 0`` every ``q`` meets or none does.  Otherwise each point ``p``
+    lies on the line ``b + Z v`` at position ``t = p_c // v_c``, with ``c``
+    the first coordinate where ``v_c != 0`` and ``b = p - t v``, and
+    ``x + q v = y`` exactly when ``x`` and ``y`` share a line and
+    ``q = t_y - t_x``.  One bisection per point of ``X`` into the sorted
+    positions of ``Y`` on its line finds the largest such ``q``, so the cost
+    does not depend on the range of ``q``.
     """
-    k, d = X.shape
-    if hi == 0 or not any(v):
-        return hi if index.find(X)[0].size else None
-    if _abs_max(X) + hi * max(map(abs, v)) >= 2**63:
-        raise DomainError("coordinate range exceeded in vectorized lookup")
-    step = np.array(v, dtype=np.int64)
-    size = max(1, _BLOCK_CELLS // (k * d))
-    for top in range(hi, lo - 1, -size):
-        qs = np.arange(top, max(lo, top - size + 1) - 1, -1, dtype=np.int64)
-        found = index.find((X + qs[:, None, None] * step).reshape(-1, d))[0]
-        if found.size:
-            return int(qs[found[0] // k])
-    return None
+    if not any(v):
+        return hi if not set(map(tuple, X.tolist())).isdisjoint(map(tuple, Y.tolist())) else None
+    c = next(i for i, w in enumerate(v) if w)
+    step = np.array(v, dtype=object)
+
+    def lines(pts):
+        t = pts[:, c] // v[c]
+        return zip(map(tuple, (pts - t[:, None] * step).tolist()), t.tolist())
+
+    positions = {}
+    for b, t in lines(Y):
+        positions.setdefault(b, []).append(t)
+    for ts in positions.values():
+        ts.sort()
+    best = lo - 1
+    for b, t in lines(X):
+        ts = positions.get(b, ())
+        i = bisect.bisect_right(ts, t + hi) - 1
+        if i >= 0:
+            best = max(best, ts[i] - t)
+    return best if best >= lo else None
 
 
 def _last_meeting_orbits(gs, region: Region, horizon: int) -> int:
     """Int64 orbits of ``K``, a block of iterates at a time.
 
     A block holds the images ``g^{t+1}(K) .. g^{t+B}(K)`` of each
-    ``g_l = m_l^{r_l}`` as a ``(B, |K|, d)`` array (``B`` a power of two).
-    The first is an :func:`_orbit_block`, and ``g_l^B``, the last row of
-    the power table that block was taken from, advances it to the next
-    through the overflow-safe ``apply_many`` (which raises
-    :class:`DomainError` rather than wrap).  Membership in ``K`` is looked up in a
-    :class:`_RowIndex`; two images meet where sorting their rows together
-    puts two equal rows side by side.  Memory is ``O(_BLOCK_CELLS)``.
+    ``g_l = m_l^{r_l}`` as a ``(B, |K|, d)`` array (``B`` a power of two):
+    the :func:`_orbit_block` of ``K`` for the first, and of the last image
+    of the block before for each next one, so :class:`DomainError` rather
+    than wrap.  Membership in ``K`` is looked up in a :class:`_RowIndex`;
+    two images meet where sorting their rows together puts two equal rows
+    side by side.  Memory is ``O(_BLOCK_CELLS)``.
     """
     K = _int64_rows(region.sorted_points())
     k, d = K.shape
     index = _RowIndex(region.points)
     size = 1 << (max(1, min(horizon, _BLOCK_CELLS // (k * d))).bit_length() - 1)
-    blocks, leaps = [], []
-    for g in gs:
-        blocks.append(_orbit_block(g, K, size))
-        lin, off, _, _ = g._table.powers(size)
-        leaps.append(AffineLatticeMap(lin[-1].tolist(), off[-1].tolist()))  # g^size
+    blocks = [_orbit_block(g, K, size) for g in gs]
 
     def meets_K(X):
         hit = np.zeros(len(X), dtype=bool)
@@ -598,9 +586,7 @@ def _last_meeting_orbits(gs, region: Region, horizon: int) -> int:
     last = 0
     for start in range(0, horizon, size):
         if start:
-            blocks = [
-                g.apply_many(X.reshape(-1, d)).reshape(X.shape) for g, X in zip(leaps, blocks)
-            ]
+            blocks = [_orbit_block(g, X[-1], size) for g, X in zip(gs, blocks)]
         cur = [X[: horizon - start] for X in blocks]
         hit = np.zeros(len(cur[0]), dtype=bool)
         for X in cur:

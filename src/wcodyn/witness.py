@@ -210,12 +210,8 @@ def verify_report(system, report) -> WitnessAudit:
     norm_spec, eta, ops, powers = _as_system(system)
     source = flatten(SampleFunction.indicator(report.K), eta)
     targets = tuple(source for _ in ops)
-    f_plain = source.scaled_by(eta)
-    g_plain = [g.scaled_by(eta) for g in targets]
-    f_sup = f_plain.sup_abs()
-    f_norm = norm(norm_spec, f_plain)
-    g_sup = [g.sup_abs() for g in g_plain]
-    g_norm = [norm(norm_spec, g) for g in g_plain]
+    plain = source.scaled_by(eta)  # f~, and every g~_s as well
+    f_sup, f_norm = plain.sup_abs(), norm(norm_spec, plain)
     m_K = report.m_K
 
     audits = []
@@ -223,15 +219,11 @@ def verify_report(system, report) -> WitnessAudit:
     for st in report.stages:
         wv = build_witness(system, report, source, targets, st.k)
         sup_f, sup_b, gam = _stage_sups(st)
-        bound_src = f_sup * st.chi_residual + math.fsum(
-            sup_f[s] * g_norm[s] / m_K for s in range(len(ops))
-        )
+        bound_src = f_sup * st.chi_residual + math.fsum(x * f_norm / m_K for x in sup_f)
         bound_tgt = []
         for l in range(len(ops)):
-            b = sup_b[l] * f_norm / m_K + g_sup[l] * st.chi_residual
-            b += math.fsum(
-                gam[(s, l)] * g_norm[s] / m_K for s in range(len(ops)) if s != l
-            )
+            b = sup_b[l] * f_norm / m_K + f_sup * st.chi_residual
+            b += math.fsum(gam[(s, l)] * f_norm / m_K for s in range(len(ops)) if s != l)
             bound_tgt.append(b)
         ok = wv.residual_source <= bound_src + _SLACK * (1.0 + bound_src) and all(
             r <= b + _SLACK * (1.0 + b)

@@ -553,3 +553,14 @@ def test_cat_map_scan_past_the_int64_edge_exits_1(tmp_path, capsys):
     assert main([str(write_config(tmp_path, doc))]) == EXIT_ERROR
     err = capsys.readouterr().err
     assert err.startswith("wcodyn: error: ") and "coordinate range exceeded" in err
+
+
+@pytest.mark.parametrize(
+    "name, records", [("decaying-weight-shift", "stages"), ("semi-shift-family", "rows")]
+)
+def test_verbose_prints_one_line_per_stage_or_row(name, records, capsys):
+    _, report, status = run_scenario(load_bundled(name))
+    assert main([name, "-v"]) == status
+    got = [line for line in capsys.readouterr().out.splitlines() if line.startswith("    ")]
+    want = getattr(report, records)
+    assert want and got == [f"    {r.to_dict()}" for r in want]

@@ -787,3 +787,16 @@ def test_scan_by_runs_walks_the_cross_leg_where_chi_passes_and_gamma_rejects():
     system = make_disjoint(off1=-3, off2=-1)
     want, _, gamma_rejects = _both_scans(system, Region.box([[-2, 2]]), 200, 1e-9, 1)
     assert gamma_rejects and want["stages"]
+
+
+def test_an_underflowing_weight_is_reported_where_it_vanishes():
+    # |x|**-400 underflows to 0.0 once |x| >= 7: the first sampled point of
+    # [-12, 12] and both of its images are zeros of the weight
+    eta = RadialPowerWeight(p=400)
+    region = Region.box([[-12, 12]])
+    with pytest.raises(WeightError, match="non-positive on sampled points") as err:
+        Scenario(EllPNorm(1), eta, shift_op(-1, region=region), region)
+    assert err.value.points == ((-12,), (-13,), (-11,))
+    assert all(eta.value_at(p) == 0.0 for p in err.value.points)
+    with pytest.raises(WeightError, match="non-positive on the region"):
+        inf_weight_on(eta, region)

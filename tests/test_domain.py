@@ -1,3 +1,5 @@
+import timeit
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -405,6 +407,65 @@ def test_finite_order_bounds_equal_exact_enumeration(data):
     K = Region.of(data.draw(st.lists(points(d, -3, 3), min_size=1, max_size=8)))
     horizon = data.draw(st.integers(1, 120))
     assert public_bound(maps, powers, K, horizon) == enumerated_bound(maps, powers, K, horizon)
+
+
+@st.composite
+def far_or_sparse_regions(draw, d):
+    """Up to 8 points around one centre near and beyond ``+-2**63`` (in some
+    coordinates), or around up to three centres spread up to ``10**6``."""
+    if draw(st.booleans()):
+        edge = st.sampled_from([-(2**63), 2**63]).flatmap(lambda e: st.integers(e - 40, e + 40))
+        centres = [draw(st.tuples(*[edge | st.integers(-3, 3)] * d))]
+    else:
+        centres = draw(st.lists(points(d, -(10**6), 10**6), min_size=1, max_size=3))
+    pts = []
+    for off in draw(st.lists(points(d, -3, 3), min_size=1, max_size=8)):
+        pts.append(tuple(c + o for c, o in zip(draw(st.sampled_from(centres)), off)))
+    return Region.of(pts)
+
+
+@given(st.data())
+@settings(deadline=None, max_examples=100)
+def test_finite_order_bounds_far_out_or_sparse_equal_exact_enumeration(data):
+    # translations, glides, signed permutations and rotations of order 3, 4
+    # and 6 on coordinates int64 cannot hold, or far apart: the residue
+    # classes are decided in Python ints at any size and spread
+    d = data.draw(st.integers(1, 4))
+    n_maps = data.draw(st.integers(1, 3))
+    maps = [
+        AffineLatticeMap(data.draw(finite_order_linear_parts(d)), data.draw(points(d, -3, 3)))
+        for _ in range(n_maps)
+    ]
+    if data.draw(st.booleans()):
+        maps[data.draw(st.integers(0, n_maps - 1))] = shift(*data.draw(points(d, -3, 3)))
+    powers = data.draw(powers_for(n_maps))
+    K = data.draw(far_or_sparse_regions(d))
+    horizon = data.draw(st.integers(1, 40))
+    assert public_bound(maps, powers, K, horizon) == enumerated_bound(maps, powers, K, horizon)
+
+
+def test_finite_order_bounds_beyond_int64_use_neither_int64_nor_enumeration(monkeypatch):
+    m = shift(1)
+    K = Region.of([(2**63 + 5,)])
+    want = enumerated_bound([m], [1], K, 10**3)
+
+    def fail(*args):
+        raise AssertionError("int64 path or enumeration used")
+
+    monkeypatch.setattr(domain, "_last_meeting_enumerated", fail)
+    monkeypatch.setattr(domain._RowIndex, "find", fail)
+    monkeypatch.setattr(AffineLatticeMap, "apply_many", fail)
+    assert aperiodicity_bound(m, K, 10**3) == aperiodicity_bound(m, K, 10**12) == want == 1
+
+
+@pytest.mark.parametrize("far, bound", [(10**6 + 1, 1), (10**6, 500_001)])
+def test_translation_bound_cost_does_not_grow_with_the_shift_range(far, bound):
+    # the shift by 2 leaves up to 500000 candidate steps between the two
+    # points; they lie on different lines of step 2, or meet at the last one
+    K = Region.of([(0,), (far,)])
+    assert aperiodicity_bound(shift(2), K, 10**7) == bound
+    best = min(timeit.repeat(lambda: aperiodicity_bound(shift(2), K, 10**7), number=1, repeat=3))
+    assert best < 5e-3
 
 
 def test_finite_order_bounds_do_not_walk_the_orbit(monkeypatch):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from wcodyn import criteria
+from wcodyn.cli import load_bundled, run_scenario
 from wcodyn.criteria import (
     CriterionReport,
     CriterionStage,
@@ -202,6 +204,30 @@ class TestVerifyReport:
         assert audit.ok
         assert audit.stages[-1].residual_source <= 1e-2
         assert max(audit.stages[-1].residual_targets) <= 1e-2
+
+    def test_a_bound_short_by_a_relative_1e_6_fails(self):
+        # shrink stage 1's bound (7.5) by its sup terms and chi residual until
+        # the largest residual exceeds it by a relative 1e-6: float rounding
+        # cannot account for that much, so certification must fail
+        cfg = load_bundled("decaying-weight-shift")
+        _, report, _ = run_scenario(cfg)
+        audit = verify_report(cfg.system, report)
+        assert audit.ok
+        stage = audit.stages[0]
+        ratio = max(
+            r / b
+            for r, b in zip((stage.residual_source, *stage.residual_targets),
+                            (stage.bound_source, *stage.bound_targets))
+        )
+        c = ratio / (1 + 1e-6)
+        first = report.stages[0]
+        report.stages[0] = dataclasses.replace(
+            first,
+            sup_forward=first.sup_forward * c,
+            sup_backward=first.sup_backward * c,
+            chi_residual=first.chi_residual * c,
+        )
+        assert not verify_report(cfg.system, report).ok
 
 
 class TestSupercyclicWitness:
