@@ -15,8 +15,12 @@ semi-decisions: a found witness sequence is certifiable (see the witness
 module), while "no witness up to the horizon" is evidence, not proof.
 
 All three checkers evaluate their quantities over the sorted points of
-``K`` as arrays and threshold them through the same helpers; semi mode
-decides separation with the exact routine behind the aperiodicity bounds.
+``K`` as arrays.  Semi mode does so for the whole index range in one array
+pass: the maps of every index ``t`` are stacked and applied together, each
+weight is evaluated once over all the images it weighs, all ``t`` are
+thresholded at once, and separation is the sort-based meeting test of the
+orbit bounds; only each row's indicator residual and pass flags are formed
+per ``t``.
 The scalar ``lambda_*`` and ``gamma_cross`` are the exact reference: all
 three share one walk of a single point in Python integers, independent of
 the vectorised walk the checkers use.
@@ -36,8 +40,10 @@ from .domain import (
     _BLOCK_ERRORS,
     AffineLatticeMap,
     Region,
+    _apply_stack,
     _int64_rows,
-    _last_meeting,
+    _map_stacks,
+    _meets,
     aperiodicity_bound,
     disjoint_aperiodicity_bound,
 )
@@ -467,7 +473,8 @@ def _iterates(eta, ops, powers, pts: np.ndarray, horizon: int):
     n, size = 1, 1
 
     def states(op, r, start, L, backward=False):
-        P, A = (np.concatenate(b) for b in zip(*op.walk_blocks(*start, r * L, backward)))
+        blocks = list(op.walk_blocks(*start, r * L, backward))
+        P, A = blocks[0] if len(blocks) == 1 else (np.concatenate(b) for b in zip(*blocks))
         return P[r - 1 :: r], A[r - 1 :: r]
 
     def lam(P, logs):
@@ -661,6 +668,59 @@ def check_disjoint_transitivity(
     )
 
 
+def _semi_quantities(family: OperatorFamily, pts: np.ndarray, pairs: list) -> tuple:
+    """The single-application quantities of every member at every index
+    ``t`` of the family, over the ``(k, d)`` rows ``pts`` of ``K``, in one
+    array pass over the index range: ``(fwd, bwd, cross, sep)``, the first
+    three ``(T, N, k)``, ``(T, N, k)`` and ``(T, |pairs|, k)`` float arrays
+    and ``sep`` whether the images ``a_{t,l}(K)`` miss ``K`` and each other.
+
+    ``map_for`` is called once per ``(t, l)``.  The images ``a(K)``,
+    ``a^{-1}(K)`` and ``a_l^{-1}(a_s(K))`` of all indices come from three
+    stacked products (:func:`~wcodyn.domain._apply_stack`), each map under
+    its own ``apply_many`` guard; ``eta`` is evaluated once over all of
+    them, and each distinct symbol object once over ``K`` and the images it
+    weighs.  Every quantity is formed as a per-``t`` evaluation forms it,
+    so bit for bit.
+    """
+    ts, N, P = family.index_set, family.n_ops, len(pairs)
+    T, (k, d) = len(ts), pts.shape
+    M = T * N  # member (t, l) is row i * N + l for t = ts[i]
+    maps = [family.map_for(t, l) for t in ts for l in range(N)]
+    syms = [family.symbol_for(t, l) for t in ts for l in range(N)]
+    forward, inverse = _map_stacks(maps, d)
+    # the members s and l of each pair slot; slot (i, q) is row i * P + q
+    first = np.arange(T)[:, None] * N
+    s_of = (first + np.array([s for s, _ in pairs], dtype=np.intp)).ravel()
+    l_of = (first + np.array([l for _, l in pairs], dtype=np.intp)).ravel()
+    F = _apply_stack(forward, pts)
+    B = _apply_stack(inverse, pts)
+    C = _apply_stack(tuple(a[l_of] for a in inverse), F[s_of])
+    e = family.eta.values(np.concatenate([F, B, C]).reshape(-1, d)).reshape(-1, k)
+    w, sym_b, sym_c = np.empty((M, k)), np.empty((M, k)), np.empty((len(C), k))
+    groups: dict = {}
+    for i, sym in enumerate(syms):
+        groups.setdefault(id(sym), (sym, []))[1].append(i)
+    for sym, idx in groups.values():
+        member = np.zeros(M, dtype=bool)
+        member[idx] = True
+        at = np.flatnonzero(member[l_of])
+        vals = sym.values(np.concatenate([pts[None], B[idx], C[at]]).reshape(-1, d))
+        vals = vals.reshape(-1, k)
+        w[idx], sym_b[idx], sym_c[at] = vals[0], vals[1 : 1 + len(idx)], vals[1 + len(idx) :]
+    fwd = e[:M] / w
+    bwd = e[M : 2 * M] * sym_b
+    cross = e[2 * M :] * sym_c / w[s_of]
+    # the images a_{t,l}(K) are disjoint from K and from each other
+    up = s_of < l_of  # each unordered pair once
+    hit = _meets(
+        np.concatenate([F, F[s_of[up]]]),
+        np.concatenate([np.broadcast_to(pts, F.shape), F[l_of[up]]]),
+    )
+    met = np.concatenate([hit[:M].reshape(T, N), hit[M:].reshape(T, P // 2)], axis=1)
+    return fwd.reshape(T, N, k), bwd.reshape(T, N, k), cross.reshape(T, P, k), ~met.any(axis=1)
+
+
 def check_semi_transitivity(
     family: OperatorFamily, K: Region, epsilon: float
 ) -> EpsilonReport:
@@ -691,25 +751,17 @@ def check_semi_transitivity(
     pts = _int64_rows(sorted_pts)
     pairs = _pairs(N)
 
+    fwd, bwd, cross, aper = _semi_quantities(family, pts, pairs)
+    quantities = np.concatenate([fwd, bwd, cross], axis=1)  # (T, 2N + |pairs|, |K|)
+    masks = (quantities <= theta).all(axis=1)
+    sups = np.where(masks[:, None], quantities, -np.inf).max(axis=2)
+    sups[~masks.any(axis=1)] = 0.0  # the sup over an empty set
+
     rows: list = []
-    for t in family.index_set:
-        maps = [family.map_for(t, l) for l in range(N)]
-        syms = [family.symbol_for(t, l) for l in range(N)]
-        # the images a_{t,l}(K) are disjoint from K and from each other
-        aper = _last_meeting(maps, [1] * N, K, 1) == 0
-        w = [sym.values(pts) for sym in syms]
-        fwd = [eta.values(m.apply_many(pts)) / wl for m, wl in zip(maps, w)]
-        back = [m.inverse.apply_many(pts) for m in maps]
-        bwd = [eta.values(y) * sym.values(y) for y, sym in zip(back, syms)]
-        cross = {}
-        for s, l in pairs:
-            y = maps[l].inverse.apply_many(maps[s].apply_many(pts))
-            cross[(s, l)] = eta.values(y) * syms[l].values(y) / w[s]
-        mask = _below([*fwd, *bwd, *cross.values()], theta, np.ones(len(pts), dtype=bool))
+    for t, mask, sup, sep in zip(family.index_set, masks, sups.tolist(), aper.tolist()):
         resid = chi(mask)
-        sup_f = tuple(_sup(v, mask) for v in fwd)
-        sup_b = tuple(_sup(v, mask) for v in bwd)
-        sup_c = {pair: _sup(v, mask) for pair, v in cross.items()}
+        sup_f, sup_b = tuple(sup[:N]), tuple(sup[N : 2 * N])
+        sup_c = dict(zip(pairs, sup[2 * N :]))
         sum_f = math.fsum(sup_f)
         sum_b = math.fsum(sup_b)
         lam_t = math.sqrt(sum_f) / math.sqrt(sum_b) if sum_b > 0 else math.nan
@@ -725,7 +777,7 @@ def check_semi_transitivity(
                 pass_chi=resid < chi_bound * guard,
                 pass_product=(max(sup_f) * max(sup_b)) < theta * theta * guard,
                 pass_cross=all(v < theta * guard for v in sup_c.values()),
-                pass_aperiodic=aper,
+                pass_aperiodic=sep,
             )
         )
 

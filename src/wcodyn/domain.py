@@ -10,12 +10,17 @@ Python integers, so iterates never wrap silently (arbitrary precision).
 
 Orbits are stepped a block of iterates at a time: ``_orbit_block`` returns
 the exact-length block ``m(X), ..., m^L(X)`` as one ``(L, |X|, d)`` int64
-array, one broadcast product with the exact powers ``m^1 .. m^L``, which
-each map caches as stacked int64 arrays (a power table, grown by doubling
-in Python integers), its only int64 copy: ``apply_many`` multiplies by the
-first row.  Both raise ``DomainError`` rather than wrap.  The operator walk
-(and with it the criteria scan) and the orbit walk of the bounds take their
-orbits from it.
+array from the exact powers ``m^1 .. m^L``, which each map caches as
+stacked int64 arrays (a power table, grown by doubling in Python integers),
+its only int64 copy: ``apply_many`` multiplies by the first row.  A block
+of a translation is a sum, ``X`` plus the offsets of the powers; a linear
+part of order ``p < L`` (a glide, a signed permutation, a rotation) takes
+``p`` products, reused every ``p`` steps; other maps one broadcast product
+with all ``L`` powers.  Both raise ``DomainError`` rather than wrap.  The
+operator walk (and with it the criteria scan) and the orbit walk of the
+bounds take their orbits from it.  ``_apply_stack`` takes one step of many
+maps at once, each under its own ``apply_many`` guard, for the semi-mode
+checker.
 
 The aperiodicity and separation bounds are decided exactly up to the stated
 horizon without stepping one iterate at a time.  When every linear part has
@@ -48,13 +53,16 @@ def _as_point(x: Sequence[int]) -> Point:
     return tuple(int(c) for c in x)
 
 
-def _check_range(pts: np.ndarray, row_l1: int, max_off: int):
+def _check_range(pts: np.ndarray, row_l1: int, max_off: int) -> int:
     """The guard of an int64 product with a map of largest row L1 norm
     ``row_l1`` and largest ``|offset|`` ``max_off``: :class:`DomainError`
     unless ``|x| * row_l1 + max_off <= 2**62`` for every coordinate ``x`` of
-    ``pts``.  A uint64 view keeps ``|INT64_MIN| = 2**63`` from wrapping."""
-    if int(np.abs(pts).view(np.uint64).max(initial=0)) * row_l1 + max_off > 2**62:
+    ``pts``.  Returns the largest ``|x|``.  A uint64 view keeps
+    ``|INT64_MIN| = 2**63`` from wrapping."""
+    top = int(np.abs(pts).view(np.uint64).max(initial=0))
+    if top * row_l1 + max_off > 2**62:
         raise DomainError("coordinate range exceeded in vectorized map application")
+    return top
 
 
 def _int_det(rows: Sequence[Sequence[int]]) -> int:
@@ -288,10 +296,12 @@ class _PowerTable:
     to; once a power falls outside, the table is at its ``edge`` and
     never grows again.  Row ``j`` of ``reach`` holds the largest row L1 norm
     and the largest ``|offset|`` among ``m^1 .. m^(j+1)``.  Row 0 is ``m``
-    itself, the one int64 copy that ``apply_many`` multiplies by.
+    itself, the one int64 copy that ``apply_many`` multiplies by.  The
+    ``period`` of the map's linear part is learnt when first asked.
     """
 
     def __init__(self, m: AffineLatticeMap):
+        self.map = m
         # row 0 in Python ints: many maps are built for one apply_many
         reach = [max(sum(map(abs, row)) for row in m.linear), max(map(abs, m.offset))]
         self.edge = max(reach) > 2**62
@@ -313,6 +323,13 @@ class _PowerTable:
         self.lin = np.concatenate([self.lin, lin[:h].astype(np.int64)])
         self.off = np.concatenate([self.off, off[:h].astype(np.int64)])
 
+    @functools.cached_property
+    def period(self) -> Optional[int]:
+        """The order ``p`` of the map's linear part (1 for a translation), by
+        :func:`_period` when first asked; ``None`` above ``_MAX_ORDER``."""
+        found = _period(self.map)
+        return None if found is None else found[0]
+
     def powers(self, length: int) -> tuple:
         """``(lin, off, row_l1, max_off)`` for ``m^1 .. m^length``: the
         first ``length`` rows of the table and, as Python ints, row
@@ -331,21 +348,87 @@ def _orbit_block(m: AffineLatticeMap, X: np.ndarray, length: int) -> np.ndarray:
     """The images ``m(X), ..., m^length(X)`` of the ``(k, d)`` int64 rows
     ``X``, as a ``(length, k, d)`` array, exactly.
 
-    One broadcast product with the cached int64 powers of ``m`` (see
-    :class:`_PowerTable`) gives the whole block.  It runs only when the
-    a-priori guard ``|X| * row_l1 + max|offset| <= 2**62`` holds with the
-    largest row L1 norm and ``|offset|`` among ``m^1 .. m^length``, so int64
-    never wraps.  The block is returned only if the guard of ``m`` itself
-    also holds at ``X, ..., m^{length-1}(X)``: a returned block is what
-    ``length`` calls of ``m.apply_many`` return.  Otherwise
-    :class:`DomainError`, also where only the guard of a power fails, so a
-    caller that needs the images one step further retries shorter.
+    The cached int64 powers of ``m`` (see :class:`_PowerTable`) give the
+    whole block.  When the linear part ``A`` has an order ``p`` below
+    ``length`` (the table learns it for the first block longer than one
+    step), its powers repeat: ``m^j(X)`` is ``X A^((j-1) mod p + 1)ᵀ`` plus
+    the offset of ``m^j``, so a translation (``p = 1``) needs no product and
+    a rotation only ``p`` of them.  Otherwise one broadcast product with
+    ``m^1 .. m^length``.  It runs only when the a-priori guard
+    ``|X| * row_l1 + max|offset| <= 2**62`` holds with the largest row L1
+    norm and ``|offset|`` among ``m^1 .. m^length``, so int64 never wraps.
+    The block is returned only if the guard of ``m`` itself also holds at
+    ``X, ..., m^{length-1}(X)``: a returned block is what ``length`` calls
+    of ``m.apply_many`` return.  That check is skipped where the first
+    guard's bound already proves it.  Otherwise :class:`DomainError`, also
+    where only the guard of a power fails, so a caller that needs the images
+    one step further retries shorter.
     """
-    lin, off, row_l1, max_off = m._table.powers(length)
-    _check_range(X, row_l1, max_off)
-    out = X @ lin.transpose(0, 2, 1) + off[:, None]
-    _check_range(out[:-1], *m._table.reach[0].tolist())
+    table = m._table
+    lin, off, row_l1, max_off = table.powers(length)
+    top = _check_range(X, row_l1, max_off)
+    p = table.period if length > 1 else None
+    if p == 1:
+        out = X + off[:, None]
+    elif p is not None and p < length:
+        out = (X @ lin[:p].transpose(0, 2, 1))[np.arange(length) % p]
+        out += off[:, None]
+    else:
+        out = X @ lin.transpose(0, 2, 1) + off[:, None]
+    r1, o1 = table.reach[0].tolist()
+    if (top * row_l1 + max_off) * r1 + o1 > 2**62:
+        _check_range(out[:-1], r1, o1)
     return out
+
+
+# ---------------------------------------------------------------------------
+# Stacks of maps: one step of many maps at once
+
+
+def _stack(linear: np.ndarray, offset: np.ndarray) -> tuple:
+    """``(lin, off, row_l1, max_off)``: the ``(M, d, d)`` linear parts and
+    ``(M, d)`` offsets of ``M`` maps, given as object arrays of Python ints,
+    as int64 arrays, with each map's largest row L1 norm and ``|offset|``,
+    the reach of its :meth:`~AffineLatticeMap.apply_many` guard.
+    :class:`DomainError` where a map lies beyond the ``2**62`` range, the
+    edge of its power table."""
+    row_l1 = np.abs(linear).sum(axis=2).max(axis=1)
+    max_off = np.abs(offset).max(axis=1)
+    if (np.maximum(row_l1, max_off) > 2**62).any():
+        raise DomainError("coordinate range exceeded in vectorized map application")
+    return tuple(a.astype(np.int64) for a in (linear, offset, row_l1, max_off))
+
+
+def _map_stacks(maps: Sequence[AffineLatticeMap], d: int) -> tuple:
+    """The stacks (see :func:`_stack`) of ``maps`` and of their exact
+    inverses, each inverse ``x -> A^{-1} x - A^{-1} b`` formed in Python ints
+    once per distinct linear part.  :class:`DomainError` for a map whose
+    dimension is not ``d``."""
+    for m in maps:
+        if m.dimension != d:
+            raise DomainError(f"point has dimension {d}, map has {m.dimension}")
+    linear = [m.linear for m in maps]
+    inverses = {A: _int_inverse(A) for A in set(linear)}
+    lin = np.array(linear, dtype=object).reshape(-1, d, d)
+    off = np.array([m.offset for m in maps], dtype=object).reshape(-1, d)
+    lin_inv = np.array([inverses[A] for A in linear], dtype=object).reshape(-1, d, d)
+    off_inv = -(lin_inv @ off[:, :, None])[:, :, 0]
+    return _stack(lin, off), _stack(lin_inv, off_inv)
+
+
+def _apply_stack(stack: tuple, X: np.ndarray) -> np.ndarray:
+    """``m_i(X_i)`` for the ``M`` maps of ``stack`` and the ``(M, k, d)``
+    int64 rows ``X`` (one ``(k, d)`` array serves every map), as an
+    ``(M, k, d)`` array: what ``m_i.apply_many(X_i)`` returns, under the
+    same guard.  :class:`DomainError` unless
+    ``|x| * row_l1_i + max_off_i <= 2**62`` for every coordinate ``x`` of
+    every ``X_i``."""
+    lin, off, row_l1, max_off = stack
+    top = np.minimum(np.abs(X).view(np.uint64).max(axis=(-2, -1)), 2**62 + 1).astype(np.int64)
+    # the guard as |x| <= (2**62 - max_off) // row_l1, which int64 holds
+    if (top > (2**62 - max_off) // row_l1).any():
+        raise DomainError("coordinate range exceeded in vectorized map application")
+    return X @ lin.transpose(0, 2, 1) + off[:, None]
 
 
 # ---------------------------------------------------------------------------
@@ -542,6 +625,29 @@ def _last_shift_meeting(X: np.ndarray, v: list, Y: np.ndarray, lo: int, hi: int)
     return best if best >= lo else None
 
 
+def _meets(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Whether ``X[t]`` and ``Y[t]`` share a row, for each ``t``: ``X`` and
+    ``Y`` are ``(T, k, d)`` and ``(T, k', d)`` int64 arrays, and each
+    ``X[t]`` and each ``Y[t]`` a set of distinct rows (an image of a set
+    under a bijection).  The sets meet iff their rows stacked together
+    repeat one, which sorting them together puts side by side; only the
+    ``t`` whose bounding boxes overlap are sorted."""
+    d = X.shape[2]
+    near = ((X.max(axis=1) >= Y.min(axis=1)) & (Y.max(axis=1) >= X.min(axis=1))).all(axis=1)
+    hit = np.zeros(len(X), dtype=bool)
+    sel = np.flatnonzero(near)
+    if sel.size:
+        rows = np.concatenate([X[sel], Y[sel]], axis=1).reshape(-1, d)
+        t = np.repeat(sel, X.shape[1] + Y.shape[1])
+        order = np.lexsort((*rows.T, t))
+        rows, t = rows[order], t[order]
+        same = t[1:] == t[:-1]
+        for col in rows.T:  # cheaper than a reduction along rows this short
+            same &= col[1:] == col[:-1]
+        hit[t[1:][same]] = True
+    return hit
+
+
 def _last_meeting_orbits(gs, region: Region, horizon: int) -> int:
     """Int64 orbits of ``K``, a block of iterates at a time.
 
@@ -549,9 +655,9 @@ def _last_meeting_orbits(gs, region: Region, horizon: int) -> int:
     ``g_l = m_l^{r_l}`` as a ``(B, |K|, d)`` array (``B`` a power of two):
     the :func:`_orbit_block` of ``K`` for the first, and of the last image
     of the block before for each next one, so :class:`DomainError` rather
-    than wrap.  Membership in ``K`` is looked up in a :class:`_RowIndex`;
-    two images meet where sorting their rows together puts two equal rows
-    side by side.  Memory is ``O(_BLOCK_CELLS)``.
+    than wrap.  Membership in ``K`` is looked up in a :class:`_RowIndex`,
+    and :func:`_meets` tells where two images meet.  Memory is
+    ``O(_BLOCK_CELLS)``.
     """
     K = _int64_rows(region.sorted_points())
     k, d = K.shape
@@ -564,25 +670,6 @@ def _last_meeting_orbits(gs, region: Region, horizon: int) -> int:
         hit[index.find(X.reshape(-1, d))[0] // k] = True
         return hit
 
-    def meet(X, Y):
-        # each image is a set of distinct rows (the maps are bijections), so
-        # X[t] and Y[t] meet iff their rows stacked together repeat one
-        near = (
-            (X.max(axis=1) >= Y.min(axis=1)) & (Y.max(axis=1) >= X.min(axis=1))
-        ).all(axis=1)
-        hit = np.zeros(len(X), dtype=bool)
-        sel = np.flatnonzero(near)
-        if sel.size:
-            rows = np.concatenate([X[sel], Y[sel]], axis=1).reshape(-1, d)
-            t = np.repeat(sel, 2 * k)
-            order = np.lexsort((*rows.T, t))
-            rows, t = rows[order], t[order]
-            same = t[1:] == t[:-1]
-            for col in rows.T:  # cheaper than a reduction along rows this short
-                same &= col[1:] == col[:-1]
-            hit[t[1:][same]] = True
-        return hit
-
     last = 0
     for start in range(0, horizon, size):
         if start:
@@ -593,7 +680,7 @@ def _last_meeting_orbits(gs, region: Region, horizon: int) -> int:
             hit |= meets_K(X)
         for s in range(len(cur)):
             for l in range(s + 1, len(cur)):
-                hit |= meet(cur[s], cur[l])
+                hit |= _meets(cur[s], cur[l])
         if hit.any():
             last = start + int(np.flatnonzero(hit)[-1]) + 1
     return last

@@ -611,12 +611,17 @@ def validate_weight(eta: Weight, m: AffineLatticeMap, region: Region) -> float:
 
 
 def inf_weight_on(eta: Weight, region: Region) -> float:
-    """``m_K``: the minimum of the weight over the finite set ``K``."""
-    vals = [eta.value_at(x) for x in region.sorted_points()]
-    m = min(vals)
-    if not (m > 0 and math.isfinite(m)):
-        raise WeightError("weight is non-positive on the region")
-    return m
+    """``m_K``: the minimum of the weight over the finite set ``K``.
+
+    Raises :class:`WeightError` naming every point of ``K`` where the weight
+    is non-positive or non-finite."""
+    pts = region.sorted_points()
+    vals = [eta.value_at(x) for x in pts]
+    bad = [x for x, v in zip(pts, vals) if not (v > 0 and math.isfinite(v))]
+    if bad:
+        more = f" and {len(bad) - 1} more points" if len(bad) > 1 else ""
+        raise WeightError(f"weight is non-positive on the region at {bad[0]}{more}", bad)
+    return min(vals)
 
 
 def sup_weight_on(w: Weight, region: Region) -> float:

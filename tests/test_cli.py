@@ -120,6 +120,19 @@ def test_unattainable_separation_exits_one(tmp_path, capsys):
     assert "separate" in capsys.readouterr().err
 
 
+def test_vanishing_eta_in_semi_mode_names_a_point(tmp_path, capsys):
+    # |x|**-400 underflows to 0.0 from |x| = 7 on; the error names where
+    doc = dict(
+        cli._bundled_doc("semi-shift-family"),
+        eta={"kind": "radial_power", "p": 400},
+        K={"box": [[-12, 12]]},
+        region={"box": [[-14, 14]]},
+    )
+    assert main([str(write_config(tmp_path, doc))]) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert "non-positive on the region at (-12,) and 11 more points" in err
+
+
 def test_unknown_bundled_name_exits_one(capsys):
     rc = main(["no-such-scenario"])
     assert rc == EXIT_ERROR

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -15,14 +16,19 @@ from wcodyn.criteria import (
     DisjointAperiodicityError,
     DisjointStage,
     DisjointSystem,
+    EpsilonReport,
     OperatorFamily,
     Scenario,
+    SemiRow,
+    _admissible,
     _as_system,
+    _below,
     _chi_norm,
     _iterates,
     _pairs,
     _probe_schedule,
     _scan,
+    _sup as _masked_sup,
     check_disjoint_transitivity,
     check_semi_transitivity,
     check_transitivity,
@@ -30,7 +36,14 @@ from wcodyn.criteria import (
     lambda_backward,
     lambda_forward,
 )
-from wcodyn.domain import AffineLatticeMap, DomainError, Region, iterate_point
+from wcodyn.domain import (
+    AffineLatticeMap,
+    DomainError,
+    Region,
+    _int64_rows,
+    _last_meeting,
+    iterate_point,
+)
 from wcodyn.operators import WeightedCompositionOperator
 from wcodyn.spaces import (
     ConstantWeight,
@@ -613,6 +626,187 @@ def test_semi_raises_where_images_leave_the_int64_range():
     )
     with pytest.raises(DomainError):
         check_semi_transitivity(fam, Region.box([[-1, 1]]), 0.1)
+
+
+def _semi_per_index(family, K, epsilon):
+    """``check_semi_transitivity`` as it was written before the array pass:
+    each index ``t`` from its own maps and inverses, ``apply_many`` calls,
+    weight evaluations and threshold, and separation by ``_last_meeting``."""
+    eta = family.eta
+    m_K = inf_weight_on(eta, K)
+    N = family.n_ops
+    theta = m_K * epsilon / (1.0 - epsilon)
+    chi_bound = (4 + 2 * N) * N * epsilon
+    guard = 1.0 - 1e-12
+    sorted_pts = K.sorted_points()
+    chi = _chi_norm(family.norm, sorted_pts)
+    pts = _int64_rows(sorted_pts)
+    pairs = _pairs(N)
+    rows = []
+    for t in family.index_set:
+        maps = [family.map_for(t, l) for l in range(N)]
+        syms = [family.symbol_for(t, l) for l in range(N)]
+        aper = _last_meeting(maps, [1] * N, K, 1) == 0
+        w = [sym.values(pts) for sym in syms]
+        fwd = [eta.values(m.apply_many(pts)) / wl for m, wl in zip(maps, w)]
+        back = [m.inverse.apply_many(pts) for m in maps]
+        bwd = [eta.values(y) * sym.values(y) for y, sym in zip(back, syms)]
+        cross = {}
+        for s, l in pairs:
+            y = maps[l].inverse.apply_many(maps[s].apply_many(pts))
+            cross[(s, l)] = eta.values(y) * syms[l].values(y) / w[s]
+        mask = _below([*fwd, *bwd, *cross.values()], theta, np.ones(len(pts), dtype=bool))
+        resid = chi(mask)
+        sup_f = tuple(_masked_sup(v, mask) for v in fwd)
+        sup_b = tuple(_masked_sup(v, mask) for v in bwd)
+        sup_c = {pair: _masked_sup(v, mask) for pair, v in cross.items()}
+        sum_f, sum_b = math.fsum(sup_f), math.fsum(sup_b)
+        rows.append(
+            SemiRow(
+                t=t,
+                admissible=_admissible(sorted_pts, mask),
+                chi_residual=resid,
+                sup_forward=sup_f,
+                sup_backward=sup_b,
+                sup_cross=sup_c,
+                lambda_t=math.sqrt(sum_f) / math.sqrt(sum_b) if sum_b > 0 else math.nan,
+                pass_chi=resid < chi_bound * guard,
+                pass_product=(max(sup_f) * max(sup_b)) < theta * theta * guard,
+                pass_cross=all(v < theta * guard for v in sup_c.values()),
+                pass_aperiodic=aper,
+            )
+        )
+    tail_start = None
+    for row in reversed(rows):
+        if not row.qualifies:
+            break
+        tail_start = row.t
+    return EpsilonReport(
+        verdict=TAIL_FOUND if tail_start is not None else NO_TAIL,
+        tail_start=tail_start,
+        m_K=m_K,
+        K=tuple(sorted_pts),
+        epsilon=epsilon,
+        rows=rows,
+        params=family.describe(),
+    )
+
+
+def _hexed(value):
+    """A report value with each float as its type name and ``float.hex``,
+    so that two reports compare bit for bit."""
+    if isinstance(value, float):
+        return type(value).__name__, value.hex()
+    if isinstance(value, dict):
+        return {k: _hexed(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_hexed(v) for v in value]
+    return value
+
+
+@st.composite
+def semi_symbol_families(draw):
+    """An OperatorFamily on Z or Z^2 with N in {1, 2, 3} members ``x -> A_l x
+    + c_l + t b_l`` (``A_l`` from LINEAR_PARTS or the identity) over a short
+    index range, whose constant, table or radial symbols are one object for
+    every ``t``, a new object with other values at each ``t``, or member 0's
+    own object; with a ``K`` of up to 9 points and an epsilon."""
+    dim = draw(st.sampled_from([1, 2]))
+    n_ops = draw(st.sampled_from([1, 2, 3]))
+    identity = tuple(tuple(int(i == j) for j in range(dim)) for i in range(dim))
+    small = st.tuples(*[st.integers(-3, 3)] * dim)
+    members = []
+    for l in range(n_ops):
+        linear = draw(st.sampled_from(LINEAR_PARTS[dim] + [identity]))
+        kind = draw(st.sampled_from(["constant", "table", "radial"]))
+        if kind == "constant":
+            c = draw(st.sampled_from([0.5, 2.0, 3.0]))
+            make = lambda t, c=c: ConstantWeight(c * (1 + t % 3))
+        elif kind == "table":
+            entries = st.floats(0.25, 4.0, allow_nan=False)
+            table = {pt: draw(entries) for pt in Region.box([[-2, 2]] * dim).sorted_points()}
+            make = lambda t, table=table: TableWeight(
+                {pt: v * (1 + t % 2) for pt, v in table.items()}, default=1.0
+            )
+        else:
+            p = draw(st.sampled_from([0.5, 1.0, 2.0]))
+            make = lambda t, p=p: RadialPowerWeight(p=p, scale=1 + t % 2 / 2)
+        how = draw(st.sampled_from(["one", "per t", "member 0"][: 3 if l else 2]))
+        if how == "one":
+            symbol_at = lambda t, one=make(0): one
+        elif how == "per t":
+            symbol_at = make
+        else:
+            symbol_at = members[0][3]
+        members.append((linear, draw(small), draw(small), symbol_at))
+    lo = draw(st.integers(-3, 3))
+    family = OperatorFamily(
+        norm=EllPNorm(draw(st.sampled_from([1, 2]))),
+        eta=draw(st.sampled_from([RadialPowerWeight(p=1.0), RadialPowerWeight(p=2.0), ConstantWeight(1.0)])),
+        n_ops=n_ops,
+        index_set=range(lo, lo + draw(st.integers(1, 12))),
+        map_for=lambda t, l: AffineLatticeMap(
+            members[l][0], tuple(c + t * b for c, b in zip(members[l][1], members[l][2]))
+        ),
+        symbol_for=lambda t, l: members[l][3](t),
+    )
+    K = Region.of(draw(st.lists(small, min_size=1, max_size=9)))
+    return family, K, draw(st.sampled_from([0.05, 0.1, 0.5, 0.8, 0.95]))
+
+
+@given(semi_symbol_families())
+@settings(deadline=None, max_examples=150)
+def test_semi_array_pass_equals_the_per_index_loop_bit_for_bit(case):
+    family, K, eps = case
+    got = check_semi_transitivity(family, K, eps).to_dict()
+    assert _hexed(got) == _hexed(_semi_per_index(family, K, eps).to_dict())
+
+
+def test_semi_calls_map_for_once_per_member_and_index_and_never_apply_many(monkeypatch):
+    calls = []
+    base = shift_family()
+
+    def map_for(t, l):
+        calls.append((t, l))
+        return AffineLatticeMap(((-1,),), (t * (l + 2),))
+
+    fam = dataclasses.replace(base, map_for=map_for)
+    want = _semi_per_index(fam, Region.box([[-1, 1]]), 0.1).to_dict()
+    calls.clear()
+
+    def refuse(self, pts):
+        raise AssertionError("apply_many called")
+
+    monkeypatch.setattr(AffineLatticeMap, "apply_many", refuse)
+    rep = check_semi_transitivity(fam, Region.box([[-1, 1]]), 0.1)
+    assert sorted(calls) == [(t, l) for t in fam.index_set for l in range(fam.n_ops)]
+    assert _hexed(rep.to_dict()) == _hexed(want)
+
+
+def test_semi_names_the_points_a_table_symbol_has_no_value_at():
+    # the symbol is tabled on [-3, 3] only; the backward images of K = [-1, 1]
+    # under x -> x - 3t reach 4 and beyond
+    fam = OperatorFamily(
+        norm=EllPNorm(1),
+        eta=RadialPowerWeight(p=1),
+        n_ops=1,
+        index_set=range(1, 4),
+        map_for=lambda t, l: AffineLatticeMap.translation((-3 * t,)),
+        symbol_for=lambda t, l: TableWeight({(x,): 2.0 for x in range(-3, 4)}),
+    )
+    with pytest.raises(WeightError, match="no value at") as err:
+        check_semi_transitivity(fam, Region.box([[-1, 1]]), 0.1)
+    assert err.value.points and all(abs(x) > 3 for (x,) in err.value.points)
+
+
+def test_semi_names_where_an_underflowing_eta_vanishes():
+    # |x|**-400 underflows to 0.0 once |x| >= 7, so eta vanishes on 12
+    # points of K = [-12, 12]; an OperatorFamily does not validate eta
+    eta = RadialPowerWeight(p=400)
+    with pytest.raises(WeightError, match=r"non-positive on the region at \(-12,\)") as err:
+        check_semi_transitivity(shift_family(eta=eta), Region.box([[-12, 12]]), 0.1)
+    assert err.value.points == tuple((x,) for x in [*range(-12, -6), *range(7, 13)])
+    assert all(eta.value_at(p) == 0.0 for p in err.value.points)
 
 
 # ---------------------------------------------------------------------------

@@ -663,3 +663,90 @@ def test_row_index_find_matches_row_reductions(d, data):
     got, want = index.find(rows), _find_by_row_reductions(index, rows)
     assert got[0].tolist() == want[0].tolist() and got[1].tolist() == want[1].tolist()
     assert [tuple(rows[i]) for i in got[0]] == [sorted(pts)[p] for p in got[1]]
+
+
+def _product_block(m, X, length):
+    """The orbit block as one broadcast product with every power of ``m``,
+    checked at every step: the form of ``_orbit_block`` before the powers of
+    a finite-order map were reused."""
+    lin, off, row_l1, max_off = m._table.powers(length)
+    domain._check_range(X, row_l1, max_off)
+    out = X @ lin.transpose(0, 2, 1) + off[:, None]
+    domain._check_range(out[:-1], *m._table.reach[0].tolist())
+    return out
+
+
+@st.composite
+def orbit_block_cases(draw):
+    """A map in 1-3 D (a translation; a glide, signed permutation or rotation
+    of order 3, 4 or 6 from ``finite_order_linear_parts``; or a shear), a
+    block length, and rows ``X`` that are small or hold one coordinate at
+    about the a-priori guard of the block, where each step is checked."""
+    d = draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(["translation", "finite order", "shear"][: 3 if d > 1 else 2]))
+    linear = [[int(i == j) for j in range(d)] for i in range(d)]
+    if kind == "finite order":
+        linear = draw(finite_order_linear_parts(d))
+    elif kind == "shear":
+        i, j = draw(st.permutations(range(d)))[:2]
+        linear[i][j] = draw(st.sampled_from([-2, -1, 1, 3]))
+    m = AffineLatticeMap(linear, draw(st.tuples(*[st.integers(-5, 5)] * d)))
+    length = draw(st.sampled_from([2, 3, 4, 5, 7, 12, 13, 64]))
+    X = np.array(draw(st.lists(st.tuples(*[st.integers(-9, 9)] * d), min_size=1, max_size=4)))
+    if draw(st.booleans()):
+        _, _, row_l1, max_off = m._table.powers(length)
+        edge = (2**62 - max_off) // row_l1  # the largest |x| the guard lets through
+        slack = draw(st.integers(-2, 2) | st.integers(0, edge // 2))
+        i, c = draw(st.integers(0, len(X) - 1)), draw(st.integers(0, d - 1))
+        X[i, c] = draw(st.sampled_from([1, -1])) * (edge - slack)
+    return m, X.astype(np.int64), length
+
+
+@given(orbit_block_cases())
+@settings(deadline=None, max_examples=200)
+def test_orbit_block_equals_the_product_block_and_successive_apply_many(case):
+    m, X, length = case
+    try:
+        want = _product_block(m, X, length)
+    except DomainError:
+        want = None
+    try:
+        got = domain._orbit_block(m, X, length)
+    except DomainError:
+        got = None
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert got.tolist() == want.tolist()
+        pts = X
+        for row in got:
+            pts = m.apply_many(pts)
+            assert row.tolist() == pts.tolist()
+
+
+def test_orbit_block_checks_each_step_only_where_the_block_guard_does_not_prove_it(
+    monkeypatch,
+):
+    checked = []
+    check = domain._check_range
+    monkeypatch.setattr(domain, "_check_range", lambda pts, *a: checked.append(len(pts)) or check(pts, *a))
+    m = AffineLatticeMap.translation((1, 0))
+    assert domain._orbit_block(m, np.array([(3, -4)]), 8).tolist() == [
+        [[3 + j, -4]] for j in range(1, 9)
+    ]
+    assert checked == [1]
+    checked.clear()
+    X = np.array([(2**62 - 8, 0)])  # m^8(X) is at the guard, so m^9 is not
+    block = domain._orbit_block(m, X, 8)
+    assert checked == [1, 7] and block[-1].tolist() == [[2**62, 0]]
+
+
+def test_power_table_learns_the_period_only_for_a_block_of_several_steps():
+    X = np.array([(1, 2), (-3, 0)])
+    quarter_turn = AffineLatticeMap(((0, -1), (1, 0)), (1, 0))
+    for m, period in ((shift(2, -1), 1), (quarter_turn, 4), (AffineLatticeMap(CAT, (1, 0)), None)):
+        domain._orbit_block(m, X, 1)
+        m.apply_many(X)
+        assert "period" not in vars(m._table)
+        block = domain._orbit_block(m, X, 30)
+        assert m._table.period == period
+        assert block.tolist() == _product_block(m, X, 30).tolist()
