@@ -47,7 +47,7 @@ from .domain import (
     aperiodicity_bound,
     disjoint_aperiodicity_bound,
 )
-from .operators import WeightedCompositionOperator
+from .operators import OperatorError, WeightedCompositionOperator
 from .spaces import SampleFunction, Weight, inf_weight_on, validate_weight
 
 WITNESS_FOUND = "WitnessFound"
@@ -681,7 +681,9 @@ def _semi_quantities(family: OperatorFamily, pts: np.ndarray, pairs: list) -> tu
     its own ``apply_many`` guard; ``eta`` is evaluated once over all of
     them, and each distinct symbol object once over ``K`` and the images it
     weighs.  Every quantity is formed as a per-``t`` evaluation forms it,
-    so bit for bit.
+    so bit for bit.  A member whose symbol is not bounded away from 0 and
+    infinity on ``K`` raises :class:`~wcodyn.operators.OperatorError`, as
+    building its operator would.
     """
     ts, N, P = family.index_set, family.n_ops, len(pairs)
     T, (k, d) = len(ts), pts.shape
@@ -708,6 +710,14 @@ def _semi_quantities(family: OperatorFamily, pts: np.ndarray, pairs: list) -> tu
         vals = sym.values(np.concatenate([pts[None], B[idx], C[at]]).reshape(-1, d))
         vals = vals.reshape(-1, k)
         w[idx], sym_b[idx], sym_c[at] = vals[0], vals[1 : 1 + len(idx)], vals[1 + len(idx) :]
+    low, high = w.min(axis=1), w.max(axis=1)
+    bad = np.flatnonzero(~((low > 0) & np.isfinite(high)))
+    if len(bad):  # the check WeightedCompositionOperator makes over K
+        i, l = divmod(int(bad[0]), N)
+        raise OperatorError(
+            f"family member l={l} at t={ts[i]}: symbol must be bounded away from 0 "
+            f"and infinity, got [{low[bad[0]]}, {high[bad[0]]}]"
+        )
     fwd = e[:M] / w
     bwd = e[M : 2 * M] * sym_b
     cross = e[2 * M :] * sym_c / w[s_of]

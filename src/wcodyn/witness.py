@@ -68,9 +68,9 @@ def flatten(f: SampleFunction, eta: Weight) -> SampleFunction:
     The weighted norm of the output equals the plain norm of the input, so
     flattening moves a plain-space approximant into the weighted space.
     """
+    items = f.items()
     out = {}
-    for pt, v in f.items():
-        e = eta.value_at(pt)
+    for (pt, v), e in zip(items, eta._values_at([pt for pt, _ in items])):
         if not (e > 0 and math.isfinite(e)):
             raise WeightError("weight must be positive on the support", [pt])
         out[pt] = v / e
