@@ -314,7 +314,8 @@ class OrliczNorm:
     evaluation there is certain to decide the same way; only points strictly
     inside ``(a, b)`` are evaluated.  The midpoints, the comparison outcomes
     and the result are those of evaluating at every step, bit for bit, and a
-    power-Young norm takes about 13 evaluations instead of 52-57.
+    power-Young norm of normal magnitudes takes 9-13 evaluations instead of
+    52-57, the first at ``lo``, which settles a one-point support.
     """
 
     young: PowerYoung | ExpYoung = PowerYoung(2.0)
@@ -330,20 +331,17 @@ class OrliczNorm:
             return 0.0
         modular = self.young.modular
         inv1 = self.young.inverse_at_one()
-        a, b = self.young.bracket(mags)
-
-        def fits(lam):  # modular(mags, lam) <= 1, evaluated only inside (a, b)
-            return lam >= b or (lam > a and modular(mags, lam) <= 1.0)
-
         lo = max(mags) / inv1  # modular(lo) >= Phi(max/lo) = 1
         hi = math.fsum(mags) / inv1  # modular(hi) <= Phi(sum/hi) = 1 by convexity
-        if fits(lo):
+        if modular(mags, lo) <= 1.0:
             return lo
+        a, b = self.young.bracket(mags)
         for _ in range(200):
             mid = 0.5 * (lo + hi)
             if mid == lo or mid == hi:
                 break
-            if fits(mid):
+            # modular(mags, mid) <= 1.0, evaluated only inside (a, b)
+            if mid >= b or (mid > a and modular(mags, mid) <= 1.0):
                 hi = mid
             else:
                 lo = mid
@@ -371,9 +369,9 @@ class MorreyNorm:
     ``max_radius``, which is the key of ``x`` plus the key of ``o``.
     Row-major order in the box is lexicographic order, so an ``argsort`` of
     the keys ranks the centres as a lexicographic sort of their coordinates
-    does.  A grown box of more than ``2**62`` cells keeps the keys out of
-    int64; such a support is grouped by ``np.lexsort`` over the coordinates,
-    with the same ranks.  The offsets, their rings and the cube weights are
+    does.  A support whose grown box has more than ``2**62`` cells, so that
+    its keys come near the int64 end, is grouped by ``np.lexsort`` over the
+    coordinates, with the same ranks.  The offsets, their rings and the cube weights are
     made once per dimension and kept on the instance.
     """
 
@@ -541,7 +539,10 @@ class RadialPowerWeight(Weight):
         are added to ``0.0`` one column at a time, the IEEE operations of the
         generator in ``value_at`` in its order, then ``r ** -p`` is Python's
         float pow (libm) per point.  numpy's vectorised ``pow`` is avoided:
-        its SIMD kernel may differ from libm in the last bit."""
+        its SIMD kernel may differ from libm in the last bit.  Below 16 points
+        numpy's fixed cost exceeds the per-point calls, which are made instead."""
+        if len(pts) < 16:
+            return [self.value_at(pt) for pt in pts]
         total = np.zeros(len(pts))
         for col in np.array(pts, dtype=np.float64).T:
             total += col * col

@@ -133,6 +133,37 @@ def test_vanishing_eta_in_semi_mode_names_a_point(tmp_path, capsys):
     assert "non-positive on the region at (-12,) and 11 more points" in err
 
 
+def test_semi_mode_rejects_a_family_symbol_that_vanishes(tmp_path, capsys):
+    # 1e-300 * 1e-300 underflows to 0.0, so every member's symbol is 0 on K;
+    # dividing by it would write lambda_t = NaN in every row
+    doc = {
+        "name": "vanishing-symbol",
+        "mode": "semi",
+        "domain": {"dimension": 1, "scale": 1.0},
+        "norm": {"kind": "orlicz", "young": {"kind": "power", "p": 2}},
+        "eta": {"kind": "constant", "value": 0.5},
+        "family": {
+            "kind": "scaled_translation",
+            "direction": [2],
+            "symbol": {"kind": "product", "factors": [
+                {"kind": "constant", "value": 1e-300}, {"kind": "constant", "value": 1e-300},
+            ]},
+        },
+        "n_ops": 2,
+        "index_range": [1, 4],
+        "K": {"points": [[1]]},
+        "region": {"box": [[-3, 3]]},
+        "epsilon": 0.5,
+    }
+    assert main([str(write_config(tmp_path, doc)), "--out", str(tmp_path / "out")]) == EXIT_ERROR
+    out = capsys.readouterr()
+    assert out.out == "" and not (tmp_path / "out").exists()
+    assert out.err == (
+        "wcodyn: error: family member l=0 at t=1: symbol must be bounded away "
+        "from 0 and infinity, got [0.0, 0.0]\n"
+    )
+
+
 def test_unknown_bundled_name_exits_one(capsys):
     rc = main(["no-such-scenario"])
     assert rc == EXIT_ERROR

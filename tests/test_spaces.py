@@ -578,3 +578,185 @@ def test_radial_values_match_row_sums_bit_for_bit(d, bound, seed, p, scale):
     for got, log in ((w.values(pts), False), (w.log_values(pts), True)):
         want = _radial_by_row_sums(w, pts, log)
         assert [v.hex() for v in got.tolist()] == [v.hex() for v in want.tolist()]
+
+
+# ---------------------------------------------------------------------------
+# Bit identity of the fast norm paths with the code they replaced: Morrey
+# cells grouped by a lexicographic sort of their coordinates, an Orlicz
+# bisection that evaluates the modular at every step, and radial weights
+# taken one ``value_at`` call per point.
+
+
+def _morrey_by_lexsort(spec, f):
+    """``MorreyNorm.value`` with every support's cells ranked by ``np.lexsort``."""
+    items = f.items()
+    if not items:
+        return 0.0
+    r_max = spec.max_radius
+    pts = np.array([pt for pt, _ in items], dtype=np.int64)
+    mags_q = np.array([abs(v) ** spec.q for _, v in items])
+    d = pts.shape[1]
+    weights = ((2 * np.arange(r_max + 1) + 1) ** d) ** (1.0 / spec.p - 1.0 / spec.q)
+    axis = np.arange(-r_max, r_max + 1)
+    offsets = np.stack(np.meshgrid(*[axis] * d, indexing="ij"), axis=-1).reshape(-1, d)
+    cells = (pts[:, None, :] + offsets).reshape(-1, d)
+    order = np.lexsort(cells.T[::-1])
+    ranked = cells[order]
+    new = np.zeros(len(cells), dtype=bool)
+    new[0] = True
+    for col in ranked.T:
+        new[1:] |= col[1:] != col[:-1]
+    which = np.empty(len(cells), dtype=np.intp)
+    which[order] = np.cumsum(new) - 1
+    shape = (int(new.sum()), r_max + 1)
+    rings = np.tile(np.abs(offsets).max(axis=1), len(pts))
+    mass = np.bincount(
+        which * shape[1] + rings,
+        weights=np.repeat(mags_q, len(offsets)),
+        minlength=shape[0] * shape[1],
+    ).reshape(shape)
+    return float((weights * np.cumsum(mass, axis=1) ** (1.0 / spec.q)).max())
+
+
+def _lexsort_calls(monkeypatch):
+    calls = []
+    lexsort = np.lexsort
+    monkeypatch.setattr(np, "lexsort", lambda keys: calls.append(1) or lexsort(keys))
+    return calls
+
+
+@pytest.mark.parametrize(
+    "pts, lexsorted",
+    [
+        # grown box (with radius 1) of exactly 2**62 cells: int64 keys
+        ([(0,), (2**62 - 3,), (5,)], False),
+        ([(-7, 0), (2**31 - 10, 2**31 - 3), (-6, 1)], False),
+        # one cell more: coordinates
+        ([(0,), (2**62 - 2,), (5,)], True),
+        ([(-(2**62), 0), (2**62, 1), (-(2**62) + 1, 1)], True),
+        ([(0, 0, 0), (2**40, -(2**40), 3), (1, 1, 1), (2**40, -(2**40) + 1, 2)], True),
+    ],
+)
+def test_morrey_groups_by_int64_keys_up_to_a_box_of_2_62_cells(pts, lexsorted, monkeypatch):
+    spec = MorreyNorm(2.5, 1.25, 1)
+    f = SampleFunction({pt: complex(i + 1, -0.5 * i) for i, pt in enumerate(pts)})
+    want = _morrey_by_lexsort(spec, f)
+    calls = _lexsort_calls(monkeypatch)
+    assert spec.value(f).hex() == want.hex()
+    assert bool(calls) == lexsorted
+
+
+@given(st.data())
+@settings(deadline=None, max_examples=60)
+def test_morrey_bits_match_the_lexicographic_sort(data):
+    d = data.draw(st.integers(1, 3))
+    r = data.draw(st.integers(0, 6 if d < 3 else 3))
+    spread = data.draw(st.sampled_from([0, 5, 2**20, 2**31, 2**61]))
+    far = data.draw(st.lists(st.tuples(*[st.integers(-spread, spread)] * d), min_size=1, max_size=4))
+    near = data.draw(st.lists(st.tuples(*[st.integers(-2 * r, 2 * r)] * d), max_size=20))
+    pts = far + [tuple(a + b for a, b in zip(far[0], o)) for o in near]
+    vals = data.draw(st.lists(_values, min_size=len(pts), max_size=len(pts)))
+    f = SampleFunction(dict(zip(pts, vals)))
+    spec = MorreyNorm(data.draw(st.floats(1.5, 6)), 1.0 + data.draw(st.floats(0, 0.4)), r)
+    assert spec.value(f).hex() == _morrey_by_lexsort(spec, f).hex()
+
+
+def _orlicz_every_step(spec, mags):
+    """``OrliczNorm.value`` evaluating the modular at every bisection step."""
+    modular = spec.young.modular
+    inv1 = spec.young.inverse_at_one()
+    lo = max(mags) / inv1
+    hi = math.fsum(mags) / inv1
+    if modular(mags, lo) <= 1.0:
+        return lo
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        if modular(mags, mid) <= 1.0:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def _modular_calls(monkeypatch):
+    calls = []
+    modular = PowerYoung.modular
+    monkeypatch.setattr(
+        PowerYoung, "modular", lambda self, mags, lam: calls.append(1) or modular(self, mags, lam)
+    )
+    return calls
+
+
+_magnitudes = st.floats(5e-324, 1e300) | st.sampled_from([5e-324, 1e-310, 2.0**-1022, 1e300])
+
+
+@given(
+    st.lists(_magnitudes, min_size=1, max_size=150),
+    st.floats(1, 64) | st.sampled_from([1, 1.0, 2, 64.0]),
+    st.booleans(),
+)
+@settings(deadline=None, max_examples=150)
+def test_orlicz_bits_match_evaluating_every_step(mags, p, exp):
+    f = SampleFunction({(i,): m for i, m in enumerate(mags)})
+    mags = [abs(v) for v in f._data.values()]
+    spec = OrliczNorm(ExpYoung() if exp else PowerYoung(p))
+    assert spec.value(f).hex() == _orlicz_every_step(spec, mags).hex()
+
+
+@pytest.mark.parametrize("m", [5e-324, 1e-310, 2.0**-1022, 0.3, 1e300, 1.7e308])
+@pytest.mark.parametrize("young", [PowerYoung(1), PowerYoung(2.5), PowerYoung(64), ExpYoung()])
+def test_orlicz_one_point_supports_match_evaluating_every_step(m, young):
+    spec = OrliczNorm(young)
+    assert spec.value(SampleFunction({(3,): m})).hex() == _orlicz_every_step(spec, [m]).hex()
+
+
+@given(
+    st.lists(st.floats(1e-300, 1e300), min_size=1, max_size=150),
+    st.floats(1, 64) | st.sampled_from([1.0, 2.0, 64.0]),
+)
+@settings(deadline=None, max_examples=60)
+def test_power_young_norm_evaluates_the_modular_at_most_16_times(mags, p):
+    # evaluating every bisection step takes 52-57 calls on such supports
+    spec = OrliczNorm(PowerYoung(p))
+    f = SampleFunction({(i,): m for i, m in enumerate(mags)})
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _modular_calls(mp)
+        got = spec.value(f)
+    assert len(calls) <= 16
+    assert got.hex() == _orlicz_every_step(spec, [abs(v) for v in f._data.values()]).hex()
+
+
+def test_power_young_bracket_is_certified_and_absent_beyond_its_slack():
+    mags = [0.5, 1.0, 3.0, 1e-3]
+    for p in (1.0, 2.0, 7.5, 64.0):
+        young = PowerYoung(p)
+        a, b = young.bracket(mags)
+        assert 0 < a < b < math.inf
+        assert young.modular(mags, a) > 1.0 >= young.modular(mags, b)
+    # beta = (3p + 10) 2^-52 exceeds 1/2: the error bounds no longer hold
+    assert PowerYoung(2.0**50).bracket(mags) == (-math.inf, math.inf)
+    assert ExpYoung().bracket(mags) == (-math.inf, math.inf)
+
+
+@given(
+    st.integers(1, 4),
+    st.sampled_from([9, 2**26, 2**53 + 1, 2**62, 2**70]),
+    st.integers(0, 2**32 - 1),
+    st.floats(0.1, 4),
+    st.floats(1e-3, 10).filter(lambda s: s != 1.0),
+)
+@settings(deadline=None, max_examples=100)
+def test_radial_weights_of_a_support_match_value_at_bit_for_bit(d, bound, seed, p, scale):
+    # beyond 2**26 the squares and their sums round, so the order of the
+    # column adds shows; beyond int64 the points are Python ints only
+    rnd = np.random.default_rng(seed)
+    pts = [tuple(int(c) * (bound // 9) for c in rnd.integers(-9, 10, size=d)) for _ in range(30)]
+    pts += [tuple(int(c) for c in rnd.integers(-2, 3, size=d)) for _ in range(5)]
+    w = RadialPowerWeight(p, scale)
+    for some in (pts, pts[:5]):  # numpy's column adds, and calls per point
+        assert [v.hex() for v in w._values_at(some)] == [w.value_at(pt).hex() for pt in some]
+    f = SampleFunction({pt: complex(1.5, -0.25) for pt in pts})
+    want = {pt: v * w.value_at(pt) for pt, v in f._data.items()}
+    assert _bits(f.scaled_by(w)) == _bits(SampleFunction(want))
