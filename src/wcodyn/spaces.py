@@ -371,8 +371,8 @@ class MorreyNorm:
     the keys ranks the centres as a lexicographic sort of their coordinates
     does.  A support whose grown box has more than ``2**62`` cells, so that
     its keys come near the int64 end, is grouped by ``np.lexsort`` over the
-    coordinates, with the same ranks.  The offsets, their rings and the cube weights are
-    made once per dimension and kept on the instance.
+    coordinates, with the same ranks.  The offsets, their rings and the
+    cube weights are made once per dimension and kept on the instance.
     """
 
     p: float = 2.0
