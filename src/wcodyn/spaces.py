@@ -205,41 +205,47 @@ class PowerYoung:
         ``(M / lam)^p S`` with ``M = max m`` and ``S = sum (m / M)^p``.  A
         side that cannot be certified is ``-inf`` or ``inf``.
 
-        ``r = M S^(1/p)`` and ``a, b = r (1 -+ 2^-44)`` are accepted only where
-        the estimate ``S / (c / M)^p`` at ``c = a`` (``c = b``) exceeds
-        ``1 + beta`` (is below ``1 - beta``), ``beta = (3p + 10) 2^-52``.
-        With ``u = 2^-53`` and libm ``pow`` within 1 ulp (``2u``), the
-        computed modular is the true one within a relative ``(p + 3) u`` to
-        first order: ``u`` from each division, raised to ``p``, ``2u`` from
-        ``pow`` and ``u`` from ``fsum``.  The estimate is within
-        ``(2p + 6) u``: ``(p + 3) u`` in ``S`` the same way, ``(p + 2) u`` in
-        ``(c / M)^p`` and ``u`` from the last division.  Terms that underflow
-        add at most ``n 2^-1073`` in all, below ``u`` since ``S >= 1``.  The
-        true modular strictly decreases in ``lam``, so ``beta``, twice the
-        first-order total ``(3p + 10) u``, carries the estimate's verdict at
-        ``a`` to the computed modular at every ``lam <= a`` (at ``b``, to every
-        ``lam >= b``) while ``beta <= 1/2`` bounds the higher-order terms.
-        Beyond that ``p``, or where ``a`` or ``b`` overflows, there is no
-        bracket.
-        """
-        p = self.p
-        beta = (3 * p + 10) * 2.0**-52
+        ``r = M S^(1/p)`` and ``a, b = r (1 -+ 2^-44)`` are the candidates,
+        each kept only where ``_verdict`` certifies its side."""
         a, b = -math.inf, math.inf
-        if beta > 0.5:
-            return a, b
         M = max(mags)
-        S = math.fsum([(m / M) ** p for m in mags])  # in [1, n]: the max term is 1
-        r = M * S ** (1.0 / p)
-
-        def estimate(c):  # S / (c / M)^p where the derivation holds, else nan
-            cp = (c / M) ** p if 0.0 < c < math.inf else 0.0
-            return S / cp if cp >= 2.0**-1022 else math.nan
-
-        if estimate(lo := r * (1.0 - 2.0**-44)) > 1.0 + beta:
+        S = math.fsum([(m / M) ** self.p for m in mags])  # in [1, n]: the max term is 1
+        r = M * S ** (1.0 / self.p)
+        if self._verdict(M, S, lo := r * (1.0 - 2.0**-44)) > 0:
             a = lo
-        if estimate(hi := r * (1.0 + 2.0**-44)) < 1.0 - beta:
+        if self._verdict(M, S, hi := r * (1.0 + 2.0**-44)) < 0:
             b = hi
         return a, b
+
+    def _verdict(self, M: float, S: float, c: float) -> int:
+        """``1`` where the computed ``modular`` is certified ``> 1`` at every
+        ``lam <= c``, ``-1`` where it is certified ``< 1`` at every
+        ``lam >= c``, else ``0``; ``M`` and ``S`` are ``bracket``'s.
+
+        The estimate ``S / (c / M)^p`` must exceed ``1 + beta`` (be below
+        ``1 - beta``), ``beta = (3p + 10) 2^-52``.  With ``u = 2^-53`` and
+        libm ``pow`` within 1 ulp (``2u``), the computed modular is the true
+        one within a relative ``(p + 3) u`` to first order: ``u`` from each
+        division, raised to ``p``, ``2u`` from ``pow`` and ``u`` from
+        ``fsum``.  The estimate is within ``(2p + 6) u``: ``(p + 3) u`` in
+        ``S`` the same way, ``(p + 2) u`` in ``(c / M)^p`` and ``u`` from the
+        last division.  Terms that underflow add at most ``n 2^-1073`` in
+        all, below ``u`` since ``S >= 1``.  The true modular strictly
+        decreases in ``lam``, so ``beta``, twice the first-order total
+        ``(3p + 10) u``, carries the estimate's verdict at ``c`` to the
+        computed modular at every ``lam <= c`` (at every ``lam >= c``) while
+        ``beta <= 1/2`` bounds the higher-order terms.  Beyond that ``p``, or
+        where ``c`` or ``(c / M)^p`` leaves the normal range, there is no
+        verdict.
+        """
+        beta = (3 * self.p + 10) * 2.0**-52
+        if beta > 0.5:
+            return 0
+        cp = (c / M) ** self.p if 0.0 < c < math.inf else 0.0
+        if not cp >= 2.0**-1022:
+            return 0
+        est = S / cp
+        return 1 if est > 1.0 + beta else -1 if est < 1.0 - beta else 0
 
     def describe(self) -> dict:
         return {"kind": "power", "p": self.p}
@@ -535,19 +541,16 @@ class RadialPowerWeight(Weight):
         return 1.0 if r <= 1.0 else r**-self.p
 
     def _values_at(self, pts: list) -> list:
-        """``value_at`` of each point tuple: the squares ``float(c) * float(c)``
-        are added to ``0.0`` one column at a time, the IEEE operations of the
-        generator in ``value_at`` in its order, then ``r ** -p`` is Python's
-        float pow (libm) per point.  numpy's vectorised ``pow`` is avoided:
-        its SIMD kernel may differ from libm in the last bit.  Below 16 points
-        numpy's fixed cost exceeds the per-point calls, which are made instead."""
-        if len(pts) < 16:
-            return [self.value_at(pt) for pt in pts]
-        total = np.zeros(len(pts))
-        for col in np.array(pts, dtype=np.float64).T:
-            total += col * col
+        """``value_at`` of each point tuple: the radii are ``_radii``'s, whose
+        fold starting at ``x_0*x_0`` gives the bits of ``value_at``'s sum
+        starting at ``0.0``, then ``r ** -p`` is Python's float pow (libm) per
+        point.  numpy's vectorised ``pow`` is avoided: its SIMD kernel may
+        differ from libm in the last bit."""
+        if not pts:
+            return []
         q = -self.p
-        return [1.0 if r <= 1.0 else r**q for r in (self.scale * np.sqrt(total)).tolist()]
+        r = self._radii(np.array(pts, dtype=np.float64))
+        return [1.0 if x <= 1.0 else x**q for x in r.tolist()]
 
     def _radii(self, pts: np.ndarray) -> np.ndarray:
         """``scale * sqrt(x_0*x_0 + x_1*x_1 + ...)`` per row, the squares added

@@ -740,6 +740,28 @@ def test_power_young_bracket_is_certified_and_absent_beyond_its_slack():
     assert ExpYoung().bracket(mags) == (-math.inf, math.inf)
 
 
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 7.5, 64.0])
+def test_power_young_verdict_agrees_with_the_modular_next_to_the_crossing(p):
+    # bracket's candidates r (1 -+ 2^-44) clear 1 by about p 2^-44, far more
+    # than beta; here c walks through the crossing one ulp at a time, where
+    # only beta keeps a verdict from contradicting the computed modular
+    young = PowerYoung(p)
+    rng = np.random.default_rng(2024)
+    seen = set()
+    for _ in range(40):
+        mags = (rng.random(int(rng.integers(1, 60))) * 10.0 ** int(rng.integers(-5, 6))).tolist()
+        M = max(mags)
+        S = math.fsum([(m / M) ** p for m in mags])
+        c = M * S ** (1.0 / p) * (1.0 - 80 * 2.0**-52)
+        for _ in range(320):
+            verdict = young._verdict(M, S, c)
+            seen.add(verdict)
+            if verdict:
+                assert (young.modular(mags, c) > 1.0) == (verdict > 0), (mags, c)
+            c = math.nextafter(c, math.inf)
+    assert seen == {-1, 0, 1}
+
+
 @given(
     st.integers(1, 4),
     st.sampled_from([9, 2**26, 2**53 + 1, 2**62, 2**70]),
@@ -755,7 +777,7 @@ def test_radial_weights_of_a_support_match_value_at_bit_for_bit(d, bound, seed, 
     pts = [tuple(int(c) * (bound // 9) for c in rnd.integers(-9, 10, size=d)) for _ in range(30)]
     pts += [tuple(int(c) for c in rnd.integers(-2, 3, size=d)) for _ in range(5)]
     w = RadialPowerWeight(p, scale)
-    for some in (pts, pts[:5]):  # numpy's column adds, and calls per point
+    for some in (pts, pts[:5], []):
         assert [v.hex() for v in w._values_at(some)] == [w.value_at(pt).hex() for pt in some]
     f = SampleFunction({pt: complex(1.5, -0.25) for pt in pts})
     want = {pt: v * w.value_at(pt) for pt, v in f._data.items()}
