@@ -314,8 +314,8 @@ class OrliczNorm:
     (support order, unsorted) does not change the sum.
 
     The Young function's ``bracket`` gives ``a <= lam* <= b`` whose
-    comparisons are certified (:meth:`PowerYoung.bracket` derives its slack;
-    ``ExpYoung`` has none).  A bisection point ``<= a`` moves ``lo`` and one
+    comparisons are certified (:meth:`PowerYoung._verdict` derives its
+    slack; ``ExpYoung`` has none).  A bisection point ``<= a`` moves ``lo`` and one
     ``>= b`` moves ``hi`` without evaluating the modular, since the
     evaluation there is certain to decide the same way; only points strictly
     inside ``(a, b)`` are evaluated.  The midpoints, the comparison outcomes
