@@ -368,13 +368,15 @@ def _orbit_block(m: AffineLatticeMap, X: np.ndarray, length: int) -> np.ndarray:
     lin, off, row_l1, max_off = table.powers(length)
     top = _check_range(X, row_l1, max_off)
     p = table.period if length > 1 else None
+    # the offsets written out row by row, then the images added in place:
+    # a broadcast add of (length, 1, d) offsets loops over d entries at a time
+    out = np.repeat(off, len(X), axis=0).reshape(length, *X.shape)
     if p == 1:
-        out = X + off[:, None]
+        out += X
     elif p is not None and p < length:
-        out = (X @ lin[:p].transpose(0, 2, 1))[np.arange(length) % p]
-        out += off[:, None]
+        out += (X @ lin[:p].transpose(0, 2, 1))[np.arange(length) % p]
     else:
-        out = X @ lin.transpose(0, 2, 1) + off[:, None]
+        out += X @ lin.transpose(0, 2, 1)
     r1, o1 = table.reach[0].tolist()
     if (top * row_l1 + max_off) * r1 + o1 > 2**62:
         _check_range(out[:-1], r1, o1)
@@ -477,10 +479,11 @@ def _period(g: AffineLatticeMap) -> Optional[tuple]:
 
 def _int64_rows(pts: Sequence[Point]) -> np.ndarray:
     """``pts`` as an ``(m, d)`` int64 array; :class:`DomainError` when a
-    coordinate does not fit in int64."""
-    if any(not -(2**63) <= c < 2**63 for p in pts for c in p):
-        raise DomainError("coordinate does not fit in int64")
-    return np.array(pts, dtype=np.int64)
+    coordinate does not fit in int64 (numpy's conversion refuses it)."""
+    try:
+        return np.array(pts, dtype=np.int64)
+    except OverflowError:
+        raise DomainError("coordinate does not fit in int64") from None
 
 
 class _RowIndex:

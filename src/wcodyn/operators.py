@@ -57,8 +57,8 @@ class WeightedCompositionOperator:
     region: Region
 
     def __post_init__(self):
-        m_w = min(self.symbol.value_at(x) for x in self.region.sorted_points())
-        M_w = sup_weight_on(self.symbol, self.region)
+        vals = list(self.symbol._values_at(self.region.sorted_points()))
+        m_w, M_w = min(vals), max(vals)
         if not (m_w > 0 and math.isfinite(M_w)):
             raise OperatorError(
                 f"symbol must be bounded away from 0 and infinity, got [{m_w}, {M_w}]"

@@ -287,13 +287,20 @@ class EllPNorm:
             raise SpaceError(f"norm.p: must be >= 1 (or inf), got {self.p}")
 
     def value(self, f: SampleFunction) -> float:
+        """``(sum |f|^p)^(1/p)``; only where a power or the sum overflows is it
+        taken as ``M (sum (|f| / M)^p)^(1/p)`` with ``M`` the largest
+        magnitude (:func:`_rescaled`)."""
         mags = [abs(v) for v in f._data.values()]
         if not mags:
             return 0.0
         p = self.p
         if math.isinf(p):
             return max(mags)
-        return math.fsum([m**p for m in mags]) ** (1.0 / p)
+        norm = lambda ms: math.fsum([m**p for m in ms]) ** (1.0 / p)
+        try:
+            return norm(mags)
+        except OverflowError:
+            return _rescaled(norm, mags, "l^p")
 
     def describe(self) -> dict:
         return {"kind": "ell_p", "p": self.p}
@@ -321,7 +328,10 @@ class OrliczNorm:
     inside ``(a, b)`` are evaluated.  The midpoints, the comparison outcomes
     and the result are those of evaluating at every step, bit for bit, and a
     power-Young norm of normal magnitudes takes 9-13 evaluations instead of
-    52-57, the first at ``lo``, which settles a one-point support.
+    52-57, the first at ``lo``, which settles a one-point support.  Only
+    where the magnitudes sum past the float range is the gauge taken of the
+    magnitudes divided by the largest one and multiplied back
+    (:func:`_rescaled`).
     """
 
     young: PowerYoung | ExpYoung = PowerYoung(2.0)
@@ -335,6 +345,12 @@ class OrliczNorm:
         mags = [abs(v) for v in f._data.values()]
         if not mags:
             return 0.0
+        try:
+            return self._gauge(mags)
+        except OverflowError:  # the magnitudes sum past the float range
+            return _rescaled(self._gauge, mags, "orlicz")
+
+    def _gauge(self, mags: list) -> float:
         modular = self.young.modular
         inv1 = self.young.inverse_at_one()
         lo = max(mags) / inv1  # modular(lo) >= Phi(max/lo) = 1
@@ -370,20 +386,29 @@ class MorreyNorm:
     ``max_radius`` of either int64 end raises :class:`DomainError`.
 
     Point ``x`` puts its mass into the bucket ``(x + o, |o|_inf)`` for every
-    offset ``o``, and equal centres ``x + o`` are grouped by one int64 key:
-    the row-major offset of ``x + o`` in the support's bounding box grown by
-    ``max_radius``, which is the key of ``x`` plus the key of ``o``.
-    Row-major order in the box is lexicographic order, so an ``argsort`` of
-    the keys ranks the centres as a lexicographic sort of their coordinates
-    does.  A support whose grown box has more than ``2**62`` cells, so that
-    its keys come near the int64 end, is grouped by ``np.lexsort`` over the
-    coordinates, with the same ranks.  The offsets, their rings and the
-    cube weights are made once per dimension and kept on the instance.
+    offset ``o``, and equal centres ``x + o`` share one int64 key: the
+    row-major offset of ``x + o`` in the support's bounding box grown by
+    ``max_radius``, which is the key of ``x`` plus the key of ``o``.  Where
+    that box has at most ``_DENSE`` cells per (point, offset) cell, the key
+    is the bucket's row: one ``np.bincount`` fills a ``(box, max_radius + 1)``
+    array, never larger than the sort path's array can grow, and its empty
+    buckets add only zeros to the max.  A sparser support numbers the
+    centres that occur by the ranks of an ``argsort`` of the keys and a
+    "differs from the previous one" mask; row-major order in the box is
+    lexicographic order, so these are the ranks a lexicographic sort of the
+    coordinates gives.  A grown box of more than ``2**62`` cells, whose keys
+    come near the int64 end, is ranked by ``np.lexsort`` over the
+    coordinates.  On every path ``bincount`` adds each bucket's terms in
+    support order from 0.0, so the paths agree bit for bit.  The offsets,
+    their rings and the cube weights are made once per dimension and kept on
+    the instance.
     """
 
     p: float = 2.0
     q: float = 1.0
     max_radius: int = 10
+
+    _DENSE = 1  # box cells per (point, offset) cell up to which every box cell is a bucket
 
     def __post_init__(self):
         if not (1 <= self.q < self.p):
@@ -414,40 +439,49 @@ class MorreyNorm:
         if not items:
             return 0.0
         r_max = self.max_radius
-        coords = [c for pt, _ in items for c in pt]
-        if min(coords) - r_max < -(2**63) or max(coords) + r_max > 2**63 - 1:
-            raise DomainError(f"morrey cubes of radius {r_max} around the support leave int64")
-        pts = np.array([pt for pt, _ in items], dtype=np.int64)
+        m, d = len(items), len(items[0][0])
+        try:  # from one flat list, several times faster than from the tuples
+            pts = np.array([c for pt, _ in items for c in pt], dtype=np.int64).reshape(m, d)
+            lows, highs = pts.min(axis=0).tolist(), pts.max(axis=0).tolist()
+            if min(lows) - r_max < -(2**63) or max(highs) + r_max > 2**63 - 1:
+                raise OverflowError
+        except OverflowError:
+            raise DomainError(
+                f"morrey cubes of radius {r_max} around the support leave int64"
+            ) from None
         mags_q = np.array([abs(v) ** self.q for _, v in items])
-        m, d = pts.shape
         offsets, rings, weights = self._grid(d)
-        low = pts.min(axis=0) - r_max
-        sides = [hi - lo + r_max + 1 for hi, lo in zip(pts.max(axis=0).tolist(), low.tolist())]
-        # Equal centres get one label from the ranks of a sort and a "differs
-        # from the previous one" mask (the labels of np.unique); np.bincount
-        # then sums each bucket in the order of the cells, that is in support
-        # order, from 0.0, and cumsum runs over the radii.
-        if math.prod(sides) <= 2**62:
-            strides = np.cumprod([1] + sides[:0:-1])[::-1]  # row-major, in int64
+        low = [lo - r_max for lo in lows]
+        sides = [hi + r_max + 1 - lo for hi, lo in zip(highs, low)]
+        box = math.prod(sides)
+        labels = None
+        if box <= 2**62:
+            strides = np.array([math.prod(sides[i + 1 :]) for i in range(d)])  # row-major
             keys = ((pts - low) @ strides)[:, None] + offsets @ strides
-            order = np.argsort(keys, axis=None)
-            ranked = keys.ravel()[order][:, None]
+            if box <= self._DENSE * keys.size:
+                labels, n = keys, box
+            else:
+                order = np.argsort(keys, axis=None)
+                ranked = keys.ravel()[order][:, None]
         else:
             cells = (pts[:, None, :] + offsets).reshape(-1, d)
             order = np.lexsort(cells.T[::-1])
             ranked = cells[order]
-        new = np.zeros(len(order), dtype=bool)
-        new[0] = True
-        for col in ranked.T:  # cheaper than a reduction along rows this short
-            new[1:] |= col[1:] != col[:-1]
-        which = np.empty(len(order), dtype=np.intp)
-        which[order] = np.cumsum(new) - 1
-        shape = (int(new.sum()), r_max + 1)
+        if labels is None:
+            new = np.zeros(len(order), dtype=bool)
+            new[0] = True
+            for col in ranked.T:  # cheaper than a reduction along rows this short
+                new[1:] |= col[1:] != col[:-1]
+            labels = np.empty(len(order), dtype=np.intp)
+            labels[order] = np.cumsum(new) - 1
+            labels, n = labels.reshape(m, -1), int(new.sum())
+        # np.bincount sums each (centre, ring) bucket in the order of the
+        # cells, that is in support order, from 0.0; cumsum runs over the radii
         mass = np.bincount(
-            (which.reshape(m, -1) * shape[1] + rings).ravel(),
+            (labels * (r_max + 1) + rings).ravel(),
             weights=np.repeat(mags_q, len(offsets)),
-            minlength=shape[0] * shape[1],
-        ).reshape(shape)
+            minlength=n * (r_max + 1),
+        ).reshape(n, r_max + 1)
         return float((weights * np.cumsum(mass, axis=1) ** (1.0 / self.q)).max())
 
     def describe(self) -> dict:
@@ -457,6 +491,18 @@ class MorreyNorm:
             "q": self.q,
             "max_radius": self.max_radius,
         }
+
+
+def _rescaled(norm, mags: list, kind: str) -> float:
+    """``M * norm(mags / M)`` with ``M = max(mags)``, for a homogeneous
+    ``norm`` whose unscaled form overflowed; :class:`SpaceError` where the
+    norm itself lies beyond the float range."""
+    top = max(mags)
+    if top < math.inf:
+        value = top * norm([m / top for m in mags])
+        if value < math.inf:
+            return value
+    raise SpaceError(f"{kind} norm exceeds the float range")
 
 
 def norm(spec, f: SampleFunction) -> float:
@@ -540,16 +586,24 @@ class RadialPowerWeight(Weight):
         r = self.scale * math.sqrt(sum(float(c) * float(c) for c in pt))
         return 1.0 if r <= 1.0 else r**-self.p
 
-    def _values_at(self, pts: list) -> list:
+    def _values_at(self, pts: list) -> Iterable[float]:
         """``value_at`` of each point tuple: the radii are ``_radii``'s, whose
         fold starting at ``x_0*x_0`` gives the bits of ``value_at``'s sum
         starting at ``0.0``, then ``r ** -p`` is Python's float pow (libm) per
         point.  numpy's vectorised ``pow`` is avoided: its SIMD kernel may
-        differ from libm in the last bit."""
+        differ from libm in the last bit.  A square past the float range is
+        ``inf`` without a warning, as in ``value_at``; a coordinate beyond
+        the float range, which ``value_at`` cannot convert, sends the points
+        through the default's lazy ``value_at``, so the error surfaces where
+        it would."""
         if not pts:
             return []
         q = -self.p
-        r = self._radii(np.array(pts, dtype=np.float64))
+        try:
+            with np.errstate(over="ignore"):
+                r = self._radii(np.array(pts, dtype=np.float64))
+        except OverflowError:
+            return super()._values_at(pts)
         return [1.0 if x <= 1.0 else x**q for x in r.tolist()]
 
     def _radii(self, pts: np.ndarray) -> np.ndarray:
@@ -697,27 +751,40 @@ def weighted_norm(spec, eta: Weight, f: SampleFunction) -> float:
     return spec.value(f.scaled_by(eta))
 
 
+def _failing(pts: list, vals) -> list:
+    """The points whose weight value is non-positive or non-finite."""
+    return [x for x, v in zip(pts, vals) if not (v > 0 and math.isfinite(v))]
+
+
 def validate_weight(eta: Weight, m: AffineLatticeMap, region: Region) -> float:
     """Estimated admissibility constant ``K`` on the region.
 
     Returns the largest of ``eta(m(x))/eta(x)`` and ``eta(m^{-1}(x))/eta(x)``
     over the region.  Raises :class:`WeightError` (the violation report) when
     eta is non-positive or non-finite anywhere sampled.
+
+    Both images of the region come from one product of object arrays of
+    Python ints per map, exact at any coordinate size, and the weight is read
+    in one ``_values_at`` call over the triples ``(x, m(x), m^{-1}(x))`` in
+    sorted order of ``x``.  The triples are checked one at a time in that
+    order, so the first failing triple raises, with its failing points, as a
+    loop over ``value_at`` meets it.
     """
-    inv = m.inverse
-    bad = []
+    if region.dimension != m.dimension:
+        raise DomainError(f"point has dimension {region.dimension}, map has {m.dimension}")
+    pts = region.sorted_points()
+    X = np.array(pts, dtype=object)
+    fwd, bwd = (
+        (X @ np.array(g.linear, dtype=object).T + np.array(g.offset, dtype=object)).tolist()
+        for g in (m, m.inverse)
+    )
+    triples = [pt for x, y, z in zip(pts, fwd, bwd) for pt in (x, tuple(y), tuple(z))]
+    vals = iter(eta._values_at(triples))
     k = 0.0
-    for x in region.sorted_points():
-        triple = [x, m.apply(x), inv.apply(x)]
-        vals = []
-        for pt in triple:
-            v = eta.value_at(pt)
-            if not (v > 0 and math.isfinite(v)):
-                bad.append(pt)
-            vals.append(v)
-        if bad:
+    for i, (v0, v1, v2) in enumerate(zip(vals, vals, vals)):
+        if bad := _failing(triples[3 * i : 3 * i + 3], (v0, v1, v2)):
             raise WeightError("weight is non-positive on sampled points", bad)
-        k = max(k, vals[1] / vals[0], vals[2] / vals[0])
+        k = max(k, v1 / v0, v2 / v0)
     return k
 
 
@@ -727,14 +794,12 @@ def inf_weight_on(eta: Weight, region: Region) -> float:
     Raises :class:`WeightError` naming every point of ``K`` where the weight
     is non-positive or non-finite."""
     pts = region.sorted_points()
-    vals = [eta.value_at(x) for x in pts]
-    bad = [x for x, v in zip(pts, vals) if not (v > 0 and math.isfinite(v))]
-    if bad:
+    vals = list(eta._values_at(pts))
+    if bad := _failing(pts, vals):
         more = f" and {len(bad) - 1} more points" if len(bad) > 1 else ""
         raise WeightError(f"weight is non-positive on the region at {bad[0]}{more}", bad)
     return min(vals)
 
 
 def sup_weight_on(w: Weight, region: Region) -> float:
-    vals = [w.value_at(x) for x in region.sorted_points()]
-    return max(vals)
+    return max(w._values_at(region.sorted_points()))

@@ -99,17 +99,20 @@ def _assemble(
 ) -> WitnessVector:
     """The witness ``v = f chi_E + rho sum_s S_s^{k_s}(g_s chi_E)`` for the
     step counts ``k_s``, with its residuals ``||v - f||`` and
-    ``||lam T_s^{k_s} v - g_s||`` in the weighted norm."""
+    ``||lam T_s^{k_s} v - g_s||`` in the weighted norm.  A scaling of
+    exactly 1.0 is not multiplied in: the iterates are finite, so it would
+    leave every bit as it is."""
+    scale = lambda c, h: h if c == 1.0 else c * h
     v = source.restrict(E)
     for op, k, g in zip(ops, steps, targets):
-        v = v + rho * op.iterate(-k, g.restrict(E))
+        v = v + scale(rho, op.iterate(-k, g.restrict(E)))
     return WitnessVector(
         vector=v,
         stage=stage,
         n=n,
         residual_source=weighted_norm(norm_spec, eta, v - source),
         residual_targets=tuple(
-            weighted_norm(norm_spec, eta, lam * op.iterate(k, v) - g)
+            weighted_norm(norm_spec, eta, scale(lam, op.iterate(k, v)) - g)
             for op, k, g in zip(ops, steps, targets)
         ),
         scaling=lam,

@@ -665,6 +665,18 @@ def test_row_index_find_matches_row_reductions(d, data):
     assert [tuple(rows[i]) for i in got[0]] == [sorted(pts)[p] for p in got[1]]
 
 
+@pytest.mark.parametrize("c", [2**63 - 1, -(2**63)])
+def test_int64_rows_take_both_ends_of_int64(c):
+    rows = domain._int64_rows([(c, 0), (1, c)])
+    assert rows.dtype == np.int64 and rows.tolist() == [[c, 0], [1, c]]
+
+
+@pytest.mark.parametrize("c", [2**63, -(2**63) - 1, 2**200])
+def test_int64_rows_refuse_a_coordinate_past_int64(c):
+    with pytest.raises(DomainError, match="does not fit in int64"):
+        domain._int64_rows([(0, 0), (1, c)])
+
+
 def _product_block(m, X, length):
     """The orbit block as one broadcast product with every power of ``m``,
     checked at every step: the form of ``_orbit_block`` before the powers of

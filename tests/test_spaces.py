@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wcodyn.domain import AffineLatticeMap, DomainError, Region
-from wcodyn.operators import WeightedCompositionOperator
+from wcodyn.operators import OperatorError, WeightedCompositionOperator
 from wcodyn.spaces import (
     _LOG_MAX,
     ConstantWeight,
@@ -24,6 +24,7 @@ from wcodyn.spaces import (
     WeightError,
     inf_weight_on,
     norm,
+    sup_weight_on,
     validate_weight,
     weighted_norm,
 )
@@ -661,6 +662,46 @@ def test_morrey_bits_match_the_lexicographic_sort(data):
     assert spec.value(f).hex() == _morrey_by_lexsort(spec, f).hex()
 
 
+def _dense_edge(r, n):
+    """The largest ``a`` for which ``n`` points between ``0`` and the far
+    corner ``(a, 0, ..., 0)`` are bucketed densely: their grown box has
+    ``(a + 2r + 1) (2r + 1)^(d-1)`` cells, at most ``_DENSE`` per cell of
+    their ``n (2r + 1)^d``."""
+    return (n * MorreyNorm._DENSE - 1) * (2 * r + 1)
+
+
+@pytest.mark.parametrize("d, r", [(1, 0), (1, 2), (1, 10), (2, 1), (2, 3), (3, 2)])
+@pytest.mark.parametrize("beyond", [0, 1])
+def test_morrey_buckets_the_whole_box_up_to_the_dense_threshold(d, r, beyond, monkeypatch):
+    far = (_dense_edge(r, 3) + beyond,) + (0,) * (d - 1)
+    near = (1,) + (0,) * (d - 1)  # a second term in some of the first point's buckets
+    f = SampleFunction({(0,) * d: 1.5 - 2j, far: 0.75, near: -3.25})
+    spec = MorreyNorm(3.5, 1.25, r)
+    want = _morrey_by_lexsort(spec, f)
+    sorts = []
+    argsort = np.argsort
+    monkeypatch.setattr(np, "argsort", lambda *a, **k: sorts.append(1) or argsort(*a, **k))
+    lexsorts = _lexsort_calls(monkeypatch)
+    assert spec.value(f).hex() == want.hex()
+    assert (bool(sorts), lexsorts) == (bool(beyond), [])
+
+
+@given(st.data())
+@settings(deadline=None, max_examples=60)
+def test_morrey_bits_match_the_lexicographic_sort_around_the_dense_threshold(data):
+    d = data.draw(st.integers(1, 3))
+    r = data.draw(st.integers(0, 5 if d < 3 else 2))
+    # spreads near the threshold put some supports on either side of it
+    spread = data.draw(st.integers(0, 3 * _dense_edge(r, 4) + 3))
+    pts = data.draw(
+        st.lists(st.tuples(*[st.integers(0, spread)] * d), min_size=1, max_size=8, unique=True)
+    )
+    vals = data.draw(st.lists(_values, min_size=len(pts), max_size=len(pts)))
+    f = SampleFunction(dict(zip(pts, vals)))
+    spec = MorreyNorm(data.draw(st.floats(1.5, 6)), 1.0 + data.draw(st.floats(0, 0.4)), r)
+    assert spec.value(f).hex() == _morrey_by_lexsort(spec, f).hex()
+
+
 def _orlicz_every_step(spec, mags):
     """``OrliczNorm.value`` evaluating the modular at every bisection step."""
     modular = spec.young.modular
@@ -782,3 +823,153 @@ def test_radial_weights_of_a_support_match_value_at_bit_for_bit(d, bound, seed, 
     f = SampleFunction({pt: complex(1.5, -0.25) for pt in pts})
     want = {pt: v * w.value_at(pt) for pt, v in f._data.items()}
     assert _bits(f.scaled_by(w)) == _bits(SampleFunction(want))
+
+
+# ---------------------------------------------------------------------------
+# Weights over a region read in one call: the loops they replace, copied.
+
+
+def _validate_by_loop(eta, m, region):
+    inv = m.inverse
+    bad = []
+    k = 0.0
+    for x in region.sorted_points():
+        triple = [x, m.apply(x), inv.apply(x)]
+        vals = []
+        for pt in triple:
+            v = eta.value_at(pt)
+            if not (v > 0 and math.isfinite(v)):
+                bad.append(pt)
+            vals.append(v)
+        if bad:
+            raise WeightError("weight is non-positive on sampled points", bad)
+        k = max(k, vals[1] / vals[0], vals[2] / vals[0])
+    return k
+
+
+def _inf_by_loop(eta, region):
+    pts = region.sorted_points()
+    vals = [eta.value_at(x) for x in pts]
+    bad = [x for x, v in zip(pts, vals) if not (v > 0 and math.isfinite(v))]
+    if bad:
+        more = f" and {len(bad) - 1} more points" if len(bad) > 1 else ""
+        raise WeightError(f"weight is non-positive on the region at {bad[0]}{more}", bad)
+    return min(vals)
+
+
+def _sup_by_loop(w, region):
+    return max([w.value_at(x) for x in region.sorted_points()])
+
+
+def _symbol_bounds_by_loop(m, symbol, region):
+    m_w = min(symbol.value_at(x) for x in region.sorted_points())
+    M_w = _sup_by_loop(symbol, region)
+    if not (m_w > 0 and math.isfinite(M_w)):
+        raise OperatorError(f"symbol must be bounded away from 0 and infinity, got [{m_w}, {M_w}]")
+
+
+def _symbol_bounds(m, symbol, region):
+    WeightedCompositionOperator(m, symbol, region)  # checks the bounds, or raises
+
+
+def _outcome(fn, *args):
+    """What ``fn`` returns (its bits) or raises (type, message, points)."""
+    try:
+        out = fn(*args)
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc), str(exc), getattr(exc, "points", None)
+    return None if out is None else out.hex()
+
+
+@st.composite
+def _unimodular(draw, d):
+    """An integer matrix of determinant +-1: signed row swaps and shears."""
+    a = [[int(i == j) for j in range(d)] for i in range(d)]
+    for _ in range(draw(st.integers(0, 4))):
+        i, j = draw(st.integers(0, d - 1)), draw(st.integers(0, d - 1))
+        if i == j:
+            a[i] = [-c for c in a[i]]
+        else:
+            c = draw(st.integers(-3, 3))
+            a[i] = [x + c * y for x, y in zip(a[i], a[j])]
+            if draw(st.booleans()):
+                a[i], a[j] = a[j], a[i]
+    return a
+
+
+@given(st.data())
+@settings(deadline=None, max_examples=150)
+def test_weights_over_a_region_match_the_scalar_loops(data):
+    d = data.draw(st.integers(1, 3))
+    # beyond int64, up to where a radial weight underflows to 0 and past
+    # the float range, where value_at cannot convert a coordinate
+    bases = data.draw(st.lists(
+        st.sampled_from([0, 2**40, 2**63 - 2, -(2**63) - 1, 2**80, 2**520, 2**1030]),
+        min_size=1, max_size=2,
+    ))
+    spread = data.draw(st.sampled_from([2, 10**6, 2**70]))
+    pts = data.draw(st.lists(
+        st.tuples(st.sampled_from(bases), st.tuples(*[st.integers(-spread, spread)] * d)),
+        min_size=1, max_size=10,
+    ))
+    region = Region.of(tuple(base + c for c in pt) for base, pt in pts)
+    offset = data.draw(st.tuples(*[st.integers(-(2**70), 2**70) | st.integers(-3, 3)] * d))
+    m = AffineLatticeMap(data.draw(_unimodular(d)), offset)
+    sampled = sorted({y for x in region.points for y in (x, m.apply(x), m.inverse.apply(x))})
+    # a few points off the table, so the first failing triple can lie anywhere
+    missing = data.draw(st.sets(st.sampled_from(sampled), min_size=1, max_size=3))
+    table = {pt: data.draw(st.floats(0.25, 4)) for pt in sampled if pt not in missing}
+    radial = RadialPowerWeight(data.draw(st.floats(0.1, 6)), data.draw(st.sampled_from([1.0, 0.37])))
+    kind = data.draw(st.sampled_from(["radial", "table", "default", "constant", "product"]))
+    eta = {
+        "radial": radial,
+        "table": TableWeight(table) if table else TableWeight({(0,) * d: 1.0}),
+        "default": TableWeight(table, default=0.5),
+        "constant": ConstantWeight(data.draw(st.floats(0.01, 100))),
+        "product": ProductWeight((radial, TableWeight(table, default=2.0))),
+    }[kind]
+    assert _outcome(validate_weight, eta, m, region) == _outcome(_validate_by_loop, eta, m, region)
+    assert _outcome(inf_weight_on, eta, region) == _outcome(_inf_by_loop, eta, region)
+    assert _outcome(sup_weight_on, eta, region) == _outcome(_sup_by_loop, eta, region)
+    assert _outcome(_symbol_bounds, m, eta, region) == _outcome(
+        _symbol_bounds_by_loop, m, eta, region
+    )
+
+
+def test_validate_weight_raises_at_the_first_failing_triple():
+    # x = 0 maps to 1 and -1 (both missing); x = 1 maps onto 2 and 0
+    m = AffineLatticeMap.translation((1,))
+    eta = TableWeight({(1,): 1.0, (2,): 3.0})
+    with pytest.raises(WeightError, match=r"no value at \(0,\)") as info:
+        validate_weight(eta, m, Region.of([(1,), (0,)]))
+    assert info.value.points == ((0,),)
+    tiny = RadialPowerWeight(1.0)
+    far = 2**1000  # r ** -1 underflows to 0 at x = (far, 0)
+    region = Region.of([(far, 0), (2**1030, 0)])  # and 2**1030 is past the float range
+    with pytest.raises(WeightError, match="non-positive") as info:
+        validate_weight(tiny, AffineLatticeMap.translation((0, 1)), region)
+    assert info.value.points == ((far, 0), (far, 1), (far, -1))
+    with pytest.raises(DomainError, match="point has dimension 1, map has 2"):
+        validate_weight(tiny, AffineLatticeMap.translation((0, 1)), Region.of([(3,)]))
+
+
+# ---------------------------------------------------------------------------
+# Norms of magnitudes whose plain sums overflow
+
+
+@pytest.mark.parametrize("spec", [OrliczNorm(PowerYoung(2.0)), EllPNorm(2.0)])
+def test_a_norm_past_an_overflowing_sum_is_taken_scaled(spec):
+    f = SampleFunction({(0,): 1e308, (1,): 1e308})
+    assert spec.value(f) == pytest.approx(math.sqrt(2) * 1e308, rel=1e-15)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [OrliczNorm(PowerYoung(2.0)), OrliczNorm(PowerYoung(1.0)), OrliczNorm(ExpYoung()),
+     EllPNorm(2.0), EllPNorm(1.0)],
+)
+@pytest.mark.parametrize("vals", [[1.7e308, 1.7e308], [1e308, 1e308, math.inf]])
+def test_a_norm_beyond_the_float_range_raises_a_space_error(spec, vals):
+    f = SampleFunction({(i,): v for i, v in enumerate(vals)})
+    with pytest.raises(SpaceError, match="norm exceeds the float range"):
+        spec.value(f)
