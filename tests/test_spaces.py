@@ -686,22 +686,6 @@ def test_morrey_buckets_the_whole_box_up_to_the_dense_threshold(d, r, beyond, mo
     assert (bool(sorts), lexsorts) == (bool(beyond), [])
 
 
-@given(st.data())
-@settings(deadline=None, max_examples=60)
-def test_morrey_bits_match_the_lexicographic_sort_around_the_dense_threshold(data):
-    d = data.draw(st.integers(1, 3))
-    r = data.draw(st.integers(0, 5 if d < 3 else 2))
-    # spreads near the threshold put some supports on either side of it
-    spread = data.draw(st.integers(0, 3 * _dense_edge(r, 4) + 3))
-    pts = data.draw(
-        st.lists(st.tuples(*[st.integers(0, spread)] * d), min_size=1, max_size=8, unique=True)
-    )
-    vals = data.draw(st.lists(_values, min_size=len(pts), max_size=len(pts)))
-    f = SampleFunction(dict(zip(pts, vals)))
-    spec = MorreyNorm(data.draw(st.floats(1.5, 6)), 1.0 + data.draw(st.floats(0, 0.4)), r)
-    assert spec.value(f).hex() == _morrey_by_lexsort(spec, f).hex()
-
-
 def _orlicz_every_step(spec, mags):
     """``OrliczNorm.value`` evaluating the modular at every bisection step."""
     modular = spec.young.modular
