@@ -12,15 +12,17 @@ Orbits are stepped a block of iterates at a time: ``_orbit_block`` returns
 the exact-length block ``m(X), ..., m^L(X)`` as one ``(L, |X|, d)`` int64
 array from the exact powers ``m^1 .. m^L``, which each map caches as
 stacked int64 arrays (a power table, grown by doubling in Python integers),
-its only int64 copy: ``apply_many`` multiplies by the first row.  A block
-of a translation is a sum, ``X`` plus the offsets of the powers; a linear
-part of order ``p < L`` (a glide, a signed permutation, a rotation) takes
-``p`` products, reused every ``p`` steps; other maps one broadcast product
-with all ``L`` powers.  Both raise ``DomainError`` rather than wrap.  The
-operator walk (and with it the criteria scan) and the orbit walk of the
-bounds take their orbits from it.  ``_apply_stack`` takes one step of many
-maps at once, each under its own ``apply_many`` guard, for the semi-mode
-checker.
+its only int64 copy.  A block of a translation is a sum, ``X`` plus the
+offsets of the powers; a linear part of order ``p < L`` (a glide, a signed
+permutation, a rotation) takes ``p`` products, reused every ``p`` steps;
+other maps one broadcast product with all ``L`` powers.  ``_apply_stack``
+takes one step of many maps at once (the semi-mode checker), and
+``apply_many`` is its one-map case, on the first row of the power table.
+Every int64 product runs under one guard, ``_check_range``:
+``|x| * row_l1 + max_off <= _RANGE`` for the largest row L1 norm and
+``|offset|`` of the maps applied (their ``_reach``), else ``DomainError``,
+so int64 never wraps.  The operator walk (and with it the criteria scan)
+and the orbit walk of the bounds take their orbits from ``_orbit_block``.
 
 The aperiodicity and separation bounds are decided exactly up to the stated
 horizon without stepping one iterate at a time.  When every linear part has
@@ -28,8 +30,10 @@ finite order (translations, glides, signed permutations, rotations), some
 power of each map is a translation, and the bounds are decided per residue
 class of ``n`` in Python integers, whatever the horizon and the coordinates.
 Other maps (shears, hyperbolic maps) walk the orbit of ``K`` in int64
-blocks of iterates, falling back to the exact Python-int enumeration
-wherever int64 could not hold the arithmetic.
+blocks of iterates, where one sort-based test, ``_meets``, tells whether an
+image meets ``K`` or another image, however widely ``K`` is spread.  They
+fall back to the exact Python-int enumeration only where int64 could not
+hold the orbit.
 """
 
 from __future__ import annotations
@@ -53,14 +57,29 @@ def _as_point(x: Sequence[int]) -> Point:
     return tuple(int(c) for c in x)
 
 
-def _check_range(pts: np.ndarray, row_l1: int, max_off: int) -> int:
-    """The guard of an int64 product with a map of largest row L1 norm
-    ``row_l1`` and largest ``|offset|`` ``max_off``: :class:`DomainError`
-    unless ``|x| * row_l1 + max_off <= 2**62`` for every coordinate ``x`` of
-    ``pts``.  Returns the largest ``|x|``.  A uint64 view keeps
-    ``|INT64_MIN| = 2**63`` from wrapping."""
-    top = int(np.abs(pts).view(np.uint64).max(initial=0))
-    if top * row_l1 + max_off > 2**62:
+_RANGE = 2**62  # the int64 products keep every coordinate within +-_RANGE
+
+
+def _reach(lin: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """The reach of each map of a stack given as ``(M, d, d)`` and ``(M, d)``
+    object arrays of Python ints: an int64 row of its largest row L1 norm and
+    its largest ``|offset|``, for the leading maps up to the first whose
+    reach passes ``_RANGE``, where no int64 product is taken."""
+    sizes = np.stack([np.abs(lin).sum(axis=2).max(axis=1), np.abs(off).max(axis=1)], axis=1)
+    out = np.flatnonzero((sizes > _RANGE).any(axis=1))
+    return sizes[: out[0] if out.size else len(sizes)].astype(np.int64)
+
+
+def _check_range(X: np.ndarray, row_l1, max_off) -> np.ndarray:
+    """The one guard of every int64 product: :class:`DomainError` unless
+    ``|x| <= (_RANGE - max_off) // row_l1`` for every coordinate ``x`` of
+    ``X``, the form of ``|x| * row_l1 + max_off <= _RANGE`` that int64 holds,
+    for a map of :func:`_reach` ``row_l1, max_off``.  ``X`` is ``(k, d)``
+    rows, or a stack ``(..., k, d)`` of them with one reach per block;
+    returns the largest ``|x|`` of each block (uint64, so no wrap at
+    ``|INT64_MIN| = 2**63``)."""
+    top = np.abs(X).view(np.uint64).max(axis=(-2, -1), initial=0)
+    if (top > np.asarray((_RANGE - max_off) // row_l1, dtype=np.uint64)).any():
         raise DomainError("coordinate range exceeded in vectorized map application")
     return top
 
@@ -152,16 +171,11 @@ class AffineLatticeMap:
         )
 
     def apply_many(self, pts: np.ndarray) -> np.ndarray:
-        """Vectorized image of an ``(m, d)`` int64 array of points, the first
-        row of the map's power table (:class:`_PowerTable`).
-
-        Raises :class:`DomainError` unless every coordinate of the image is
-        bounded by ``2**62`` a priori, so int64 arithmetic never wraps (the
-        exact scalar path never does).
-        """
-        lin, off, row_l1, max_off = self._table.powers(1)
-        _check_range(pts, row_l1, max_off)
-        return pts @ lin[0].T + off[0]
+        """Vectorized image of an ``(m, d)`` int64 array of points: the
+        one-map :func:`_apply_stack` with the first row of the map's power
+        table (:class:`_PowerTable`), so :class:`DomainError` rather than an
+        int64 wrap (the exact scalar path never wraps)."""
+        return _apply_stack(self._table.powers(1), pts)[0]
 
     @functools.cached_property
     def _table(self) -> "_PowerTable":
@@ -283,6 +297,7 @@ _BLOCK_CELLS = 2**12  # cap on L |K| d, the int64 entries of one orbit block
 # table value (ValueError), and a floating-point fault (ArithmeticError, or
 # RuntimeWarning where warnings are errors).  Its callers retry shorter.
 _BLOCK_ERRORS = (ValueError, ArithmeticError, RuntimeWarning)
+_MAX_ORDER = 12  # every finite order of a d x d integer matrix, d <= 5, is at most 12
 
 
 class _PowerTable:
@@ -291,44 +306,49 @@ class _PowerTable:
 
     It grows by doubling in exact Python integers: with ``m^1 .. m^h`` in
     hand, ``m^h`` composed with each of them gives ``m^(h+1) .. m^(2h)``.
-    It keeps only the prefix of powers whose row L1 norms and offsets are
-    at most ``2**62``, the range :meth:`AffineLatticeMap.apply_many` keeps
-    to; once a power falls outside, the table is at its ``edge`` and
+    It keeps only the prefix of powers whose :func:`_reach` is within
+    ``_RANGE``; once a power falls outside, the table is at its ``edge`` and
     never grows again.  Row ``j`` of ``reach`` holds the largest row L1 norm
     and the largest ``|offset|`` among ``m^1 .. m^(j+1)``.  Row 0 is ``m``
     itself, the one int64 copy that ``apply_many`` multiplies by.  The
-    ``period`` of the map's linear part is learnt when first asked.
+    ``cycle`` of the map is searched when first asked.
     """
 
     def __init__(self, m: AffineLatticeMap):
-        self.map = m
-        # row 0 in Python ints: many maps are built for one apply_many
-        reach = [max(sum(map(abs, row)) for row in m.linear), max(map(abs, m.offset))]
-        self.edge = max(reach) > 2**62
-        h, d = 0 if self.edge else 1, m.dimension
-        self.lin = np.array([m.linear][:h], dtype=np.int64).reshape(h, d, d)
-        self.off = np.array([m.offset][:h], dtype=np.int64).reshape(h, d)
-        self.reach = np.array([reach][:h], dtype=np.int64).reshape(h, 2)
+        self.map, d = m, m.dimension
+        self.lin = np.empty((0, d, d), dtype=np.int64)
+        self.off = np.empty((0, d), dtype=np.int64)
+        self.reach = np.empty((0, 2), dtype=np.int64)
+        self._keep(np.array([m.linear], dtype=object), np.array([m.offset], dtype=object))
 
     def _keep(self, lin: np.ndarray, off: np.ndarray):
         """Append the exact powers ``lin``, ``off`` (object arrays of Python
         ints) up to the first one outside the int64 range."""
-        sizes = np.stack([np.abs(lin).sum(axis=2).max(axis=1), np.abs(off).max(axis=1)], axis=1)
-        out = np.flatnonzero((sizes > 2**62).any(axis=1))
-        h = int(out[0]) if out.size else len(sizes)
-        self.edge = bool(out.size)
-        prev = self.reach[-1:]
-        reach = np.maximum.accumulate(np.concatenate([prev, sizes[:h].astype(np.int64)]))
-        self.reach = np.concatenate([self.reach, reach[len(prev) :]])
+        reach = _reach(lin, off)
+        h = len(reach)
+        self.edge = h < len(lin)
+        self.reach = np.maximum.accumulate(np.concatenate([self.reach, reach]))
         self.lin = np.concatenate([self.lin, lin[:h].astype(np.int64)])
         self.off = np.concatenate([self.off, off[:h].astype(np.int64)])
 
     @functools.cached_property
+    def cycle(self) -> Optional[tuple]:
+        """``(p, t)``: the least ``p <= _MAX_ORDER`` with ``A^p = I`` for the
+        linear part ``A`` of the map, and the offset ``t`` of the translation
+        ``m^p``, exactly in Python ints; ``None`` when there is no such
+        ``p``."""
+        h = m = self.map
+        for p in range(1, _MAX_ORDER + 1):
+            if h.is_translation:
+                return p, h.offset
+            h = h.compose(m)
+        return None
+
+    @functools.cached_property
     def period(self) -> Optional[int]:
-        """The order ``p`` of the map's linear part (1 for a translation), by
-        :func:`_period` when first asked; ``None`` above ``_MAX_ORDER``."""
-        found = _period(self.map)
-        return None if found is None else found[0]
+        """The order ``p`` of the map's linear part (1 for a translation),
+        from :attr:`cycle` when first asked; ``None`` above ``_MAX_ORDER``."""
+        return None if self.cycle is None else self.cycle[0]
 
     def powers(self, length: int) -> tuple:
         """``(lin, off, row_l1, max_off)`` for ``m^1 .. m^length``: the
@@ -354,19 +374,17 @@ def _orbit_block(m: AffineLatticeMap, X: np.ndarray, length: int) -> np.ndarray:
     step), its powers repeat: ``m^j(X)`` is ``X A^((j-1) mod p + 1)ᵀ`` plus
     the offset of ``m^j``, so a translation (``p = 1``) needs no product and
     a rotation only ``p`` of them.  Otherwise one broadcast product with
-    ``m^1 .. m^length``.  It runs only when the a-priori guard
-    ``|X| * row_l1 + max|offset| <= 2**62`` holds with the largest row L1
-    norm and ``|offset|`` among ``m^1 .. m^length``, so int64 never wraps.
-    The block is returned only if the guard of ``m`` itself also holds at
-    ``X, ..., m^{length-1}(X)``: a returned block is what ``length`` calls
-    of ``m.apply_many`` return.  That check is skipped where the first
-    guard's bound already proves it.  Otherwise :class:`DomainError`, also
+    ``m^1 .. m^length``, under the guard :func:`_check_range` of ``X`` with
+    the reach of ``m^1 .. m^length``.  The block is returned only if the
+    guard of ``m`` also holds at ``X, ..., m^{length-1}(X)`` (checked where
+    the first guard does not prove it): a returned block is what ``length``
+    calls of ``m.apply_many`` return.  Otherwise :class:`DomainError`, also
     where only the guard of a power fails, so a caller that needs the images
     one step further retries shorter.
     """
     table = m._table
     lin, off, row_l1, max_off = table.powers(length)
-    top = _check_range(X, row_l1, max_off)
+    top = int(_check_range(X, row_l1, max_off))
     p = table.period if length > 1 else None
     # the offsets written out row by row, then the images added in place:
     # a broadcast add of (length, 1, d) offsets loops over d entries at a time
@@ -378,7 +396,7 @@ def _orbit_block(m: AffineLatticeMap, X: np.ndarray, length: int) -> np.ndarray:
     else:
         out += X @ lin.transpose(0, 2, 1)
     r1, o1 = table.reach[0].tolist()
-    if (top * row_l1 + max_off) * r1 + o1 > 2**62:
+    if top * row_l1 + max_off > (_RANGE - o1) // r1:
         _check_range(out[:-1], r1, o1)
     return out
 
@@ -390,15 +408,12 @@ def _orbit_block(m: AffineLatticeMap, X: np.ndarray, length: int) -> np.ndarray:
 def _stack(linear: np.ndarray, offset: np.ndarray) -> tuple:
     """``(lin, off, row_l1, max_off)``: the ``(M, d, d)`` linear parts and
     ``(M, d)`` offsets of ``M`` maps, given as object arrays of Python ints,
-    as int64 arrays, with each map's largest row L1 norm and ``|offset|``,
-    the reach of its :meth:`~AffineLatticeMap.apply_many` guard.
-    :class:`DomainError` where a map lies beyond the ``2**62`` range, the
-    edge of its power table."""
-    row_l1 = np.abs(linear).sum(axis=2).max(axis=1)
-    max_off = np.abs(offset).max(axis=1)
-    if (np.maximum(row_l1, max_off) > 2**62).any():
+    as int64 arrays, with each map's :func:`_reach`.  :class:`DomainError`
+    where a map lies beyond ``_RANGE``, the edge of its power table."""
+    reach = _reach(linear, offset)
+    if len(reach) < len(linear):
         raise DomainError("coordinate range exceeded in vectorized map application")
-    return tuple(a.astype(np.int64) for a in (linear, offset, row_l1, max_off))
+    return linear.astype(np.int64), offset.astype(np.int64), *reach.T
 
 
 def _map_stacks(maps: Sequence[AffineLatticeMap], d: int) -> tuple:
@@ -419,17 +434,12 @@ def _map_stacks(maps: Sequence[AffineLatticeMap], d: int) -> tuple:
 
 
 def _apply_stack(stack: tuple, X: np.ndarray) -> np.ndarray:
-    """``m_i(X_i)`` for the ``M`` maps of ``stack`` and the ``(M, k, d)``
-    int64 rows ``X`` (one ``(k, d)`` array serves every map), as an
-    ``(M, k, d)`` array: what ``m_i.apply_many(X_i)`` returns, under the
-    same guard.  :class:`DomainError` unless
-    ``|x| * row_l1_i + max_off_i <= 2**62`` for every coordinate ``x`` of
-    every ``X_i``."""
+    """``m_i(X_i)`` for the ``M`` maps of ``stack`` (see :func:`_stack`)
+    and the ``(M, k, d)`` int64 rows ``X`` (one ``(k, d)`` array serves
+    every map), as an ``(M, k, d)`` array, under each map's guard
+    :func:`_check_range`."""
     lin, off, row_l1, max_off = stack
-    top = np.minimum(np.abs(X).view(np.uint64).max(axis=(-2, -1)), 2**62 + 1).astype(np.int64)
-    # the guard as |x| <= (2**62 - max_off) // row_l1, which int64 holds
-    if (top > (2**62 - max_off) // row_l1).any():
-        raise DomainError("coordinate range exceeded in vectorized map application")
+    _check_range(X, row_l1, max_off)
     return X @ lin.transpose(0, 2, 1) + off[:, None]
 
 
@@ -439,12 +449,6 @@ def _apply_stack(stack: tuple, X: np.ndarray) -> np.ndarray:
 # Both bounds are ``last + 1`` (``None`` when ``last`` is the horizon) for
 # ``last``, the last ``n <= horizon`` at which some image ``g_l^n(K)``,
 # ``g_l = m_l^{r_l}``, meets ``K`` or two of the images meet each other.
-# ``_last_meeting`` decides it per residue class of ``n`` in Python integers
-# when every linear part has finite order.  Otherwise it walks int64 orbit
-# blocks, and falls back to the Python-int enumeration
-# ``_last_meeting_enumerated`` when int64 would not hold the arithmetic.
-
-_MAX_ORDER = 12  # every finite order of a d x d integer matrix, d <= 5, is at most 12
 
 
 def _last_meeting(maps, powers, region: Region, horizon: int) -> int:
@@ -456,25 +460,13 @@ def _last_meeting(maps, powers, region: Region, horizon: int) -> int:
                 f"point has dimension {region.dimension}, map has {m.dimension}"
             )
     gs = [_power(m, r) for m, r in zip(maps, powers)]
-    periods = [_period(g) for g in gs]
-    if None not in periods:
-        return _last_meeting_periodic(gs, periods, region, horizon)
+    cycles = [g._table.cycle for g in gs]
+    if None not in cycles:
+        return _last_meeting_periodic(gs, cycles, region, horizon)
     try:
         return _last_meeting_orbits(gs, region, horizon)
     except DomainError:
         return _last_meeting_enumerated(maps, powers, region, horizon)
-
-
-def _period(g: AffineLatticeMap) -> Optional[tuple]:
-    """``(p, t)``: the least ``p <= _MAX_ORDER`` with ``A^p = I`` for the
-    linear part ``A`` of ``g``, and the offset ``t`` of the translation
-    ``g^p``, exactly in Python ints; ``None`` when there is no such ``p``."""
-    h = g
-    for p in range(1, _MAX_ORDER + 1):
-        if h.is_translation:
-            return p, h.offset
-        h = h.compose(g)
-    return None
 
 
 def _int64_rows(pts: Sequence[Point]) -> np.ndarray:
@@ -486,53 +478,11 @@ def _int64_rows(pts: Sequence[Point]) -> np.ndarray:
         raise DomainError("coordinate does not fit in int64") from None
 
 
-class _RowIndex:
-    """Exact membership of int64 rows in a fixed set of lattice points.
-
-    Each point is keyed by its row-major offset in the set's bounding box,
-    so the keys of the sorted points are sorted and a query is a box test
-    and a binary search.  :class:`DomainError` when the keys would not fit
-    in int64.
-    """
-
-    def __init__(self, pts: Sequence[Point]):
-        pts = sorted(pts)
-        lo = [min(c) for c in zip(*pts)]
-        hi = [max(c) for c in zip(*pts)]
-        strides = [1] * len(lo)
-        for i in range(len(lo) - 2, -1, -1):
-            strides[i] = strides[i + 1] * (hi[i + 1] - lo[i + 1] + 1)
-        if strides[0] * (hi[0] - lo[0] + 1) > 2**62 or max(map(abs, lo + hi)) >= 2**63:
-            raise DomainError("coordinate range exceeded in vectorized lookup")
-        self.lo, self.hi, self.strides = lo, hi, strides
-        self.keys = np.array(
-            [sum((c - l) * s for c, l, s in zip(p, lo, strides)) for p in pts], dtype=np.int64
-        )
-
-    def find(self, rows: np.ndarray) -> tuple:
-        """``(i, pos)``: the indices of the ``rows`` that are in the set and
-        their positions among its sorted points.
-
-        The box test and the key fold over the ``d`` columns: numpy reduces
-        an axis this short at several times the cost of a column operation.
-        """
-        inside = np.ones(len(rows), dtype=bool)
-        for col, l, h in zip(rows.T, self.lo, self.hi):
-            inside &= (col >= l) & (col <= h)
-        inside = np.flatnonzero(inside)
-        cols = rows[inside].T
-        key = (cols[0] - self.lo[0]) * self.strides[0]
-        for col, l, s in zip(cols[1:], self.lo[1:], self.strides[1:]):
-            key += (col - l) * s
-        pos = np.minimum(np.searchsorted(self.keys, key), len(self.keys) - 1)
-        on = self.keys[pos] == key
-        return inside[on], pos[on]
-
-
-def _last_meeting_periodic(gs, periods, region: Region, horizon: int) -> int:
+def _last_meeting_periodic(gs, cycles, region: Region, horizon: int) -> int:
     """The last meeting for maps ``g_l`` whose linear parts ``A_l`` have
     finite order, decided per residue class ``s`` of ``n = P q + s``,
-    whatever the horizon; ``periods`` holds each map's :func:`_period`.
+    whatever the horizon; ``cycles`` holds each map's ``(p, t)``
+    (:attr:`_PowerTable.cycle`).
 
     For ``P`` the lcm of the orders, ``g_l^P`` is the translation by some
     ``t_l``, and ``A_l t_l = t_l`` (``g_l`` commutes with its powers), so
@@ -544,9 +494,9 @@ def _last_meeting_periodic(gs, periods, region: Region, horizon: int) -> int:
     images are products of object arrays of Python ints, so exact at any
     coordinate size.
     """
-    P = math.lcm(*(p for p, _ in periods))
+    P = math.lcm(*(p for p, _ in cycles))
     K = np.array(region.sorted_points(), dtype=object)
-    drifts = [(0,) * K.shape[1]] + [tuple(P // p * c for c in t) for p, t in periods]
+    drifts = [(0,) * K.shape[1]] + [tuple(P // p * c for c in t) for p, t in cycles]
     images = [K] * len(gs)
     boxes = [(K.min(axis=0).tolist(), K.max(axis=0).tolist())] * (len(gs) + 1)
     last = 0
@@ -630,17 +580,23 @@ def _last_shift_meeting(X: np.ndarray, v: list, Y: np.ndarray, lo: int, hi: int)
 
 def _meets(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """Whether ``X[t]`` and ``Y[t]`` share a row, for each ``t``: ``X`` and
-    ``Y`` are ``(T, k, d)`` and ``(T, k', d)`` int64 arrays, and each
-    ``X[t]`` and each ``Y[t]`` a set of distinct rows (an image of a set
-    under a bijection).  The sets meet iff their rows stacked together
-    repeat one, which sorting them together puts side by side; only the
-    ``t`` whose bounding boxes overlap are sorted."""
-    d = X.shape[2]
-    near = ((X.max(axis=1) >= Y.min(axis=1)) & (Y.max(axis=1) >= X.min(axis=1))).all(axis=1)
+    ``Y`` are ``(T, k, d)`` and ``(T, k', d)`` int64 arrays (``Y`` may be
+    one set broadcast along ``T``), and each ``X[t]`` and each ``Y[t]`` a
+    set of distinct rows (an image of a set under a bijection).  The sets
+    meet iff their rows stacked together repeat one, which sorting them
+    together puts side by side; only the ``t`` whose bounding boxes overlap
+    are sorted.  The boxes are taken one column at a time: numpy reduces an
+    axis as short as ``d`` at several times the cost of a column
+    operation."""
+    near = np.ones(len(X), dtype=bool)
+    box = Y[:1] if Y.strides[0] == 0 else Y  # one box for a broadcast set
+    for c in range(X.shape[2]):
+        x, y = X[:, :, c], box[:, :, c]
+        near &= (x.max(axis=1) >= y.min(axis=1)) & (y.max(axis=1) >= x.min(axis=1))
     hit = np.zeros(len(X), dtype=bool)
     sel = np.flatnonzero(near)
     if sel.size:
-        rows = np.concatenate([X[sel], Y[sel]], axis=1).reshape(-1, d)
+        rows = np.concatenate([X[sel], Y[sel]], axis=1).reshape(-1, X.shape[2])
         t = np.repeat(sel, X.shape[1] + Y.shape[1])
         order = np.lexsort((*rows.T, t))
         rows, t = rows[order], t[order]
@@ -658,32 +614,25 @@ def _last_meeting_orbits(gs, region: Region, horizon: int) -> int:
     ``g_l = m_l^{r_l}`` as a ``(B, |K|, d)`` array (``B`` a power of two):
     the :func:`_orbit_block` of ``K`` for the first, and of the last image
     of the block before for each next one, so :class:`DomainError` rather
-    than wrap.  Membership in ``K`` is looked up in a :class:`_RowIndex`,
-    and :func:`_meets` tells where two images meet.  Memory is
-    ``O(_BLOCK_CELLS)``.
+    than wrap.  :func:`_meets` tells where an image meets ``K`` (broadcast
+    along the block) and where two images meet, at any spread of ``K``
+    that int64 holds.  Memory is ``O(_BLOCK_CELLS)``.
     """
     K = _int64_rows(region.sorted_points())
     k, d = K.shape
-    index = _RowIndex(region.points)
     size = 1 << (max(1, min(horizon, _BLOCK_CELLS // (k * d))).bit_length() - 1)
     blocks = [_orbit_block(g, K, size) for g in gs]
-
-    def meets_K(X):
-        hit = np.zeros(len(X), dtype=bool)
-        hit[index.find(X.reshape(-1, d))[0] // k] = True
-        return hit
-
+    Ks = np.broadcast_to(K, blocks[0].shape)
     last = 0
     for start in range(0, horizon, size):
         if start:
             blocks = [_orbit_block(g, X[-1], size) for g, X in zip(gs, blocks)]
         cur = [X[: horizon - start] for X in blocks]
         hit = np.zeros(len(cur[0]), dtype=bool)
-        for X in cur:
-            hit |= meets_K(X)
-        for s in range(len(cur)):
-            for l in range(s + 1, len(cur)):
-                hit |= _meets(cur[s], cur[l])
+        for s, X in enumerate(cur):
+            hit |= _meets(X, Ks[: len(X)])
+            for Y in cur[s + 1 :]:
+                hit |= _meets(X, Y)
         if hit.any():
             last = start + int(np.flatnonzero(hit)[-1]) + 1
     return last

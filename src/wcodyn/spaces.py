@@ -18,7 +18,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .domain import AffineLatticeMap, DomainError, Point, Region, _RowIndex
+from .domain import AffineLatticeMap, DomainError, Point, Region
 
 _LOG_MAX = math.log(np.finfo(np.float64).max)  # ~709.78
 
@@ -329,9 +329,9 @@ class OrliczNorm:
     and the result are those of evaluating at every step, bit for bit, and a
     power-Young norm of normal magnitudes takes 9-13 evaluations instead of
     52-57, the first at ``lo``, which settles a one-point support.  Only
-    where the magnitudes sum past the float range is the gauge taken of the
-    magnitudes divided by the largest one and multiplied back
-    (:func:`_rescaled`).
+    where the magnitudes (or the bracket's upper end ``sum / Phi^-1(1)``)
+    sum past the float range is the gauge taken of the magnitudes divided
+    by the largest one and multiplied back (:func:`_rescaled`).
     """
 
     young: PowerYoung | ExpYoung = PowerYoung(2.0)
@@ -355,6 +355,8 @@ class OrliczNorm:
         inv1 = self.young.inverse_at_one()
         lo = max(mags) / inv1  # modular(lo) >= Phi(max/lo) = 1
         hi = math.fsum(mags) / inv1  # modular(hi) <= Phi(sum/hi) = 1 by convexity
+        if hi == math.inf and lo < math.inf:  # the bracket, not the norm, overflows
+            raise OverflowError("orlicz bracket exceeds the float range")
         if modular(mags, lo) <= 1.0:
             return lo
         a, b = self.young.bracket(mags)
@@ -633,6 +635,49 @@ class RadialPowerWeight(Weight):
 
     def describe(self) -> dict:
         return {"kind": "radial_power", "p": self.p, "scale": self.scale}
+
+
+class _RowIndex:
+    """Exact membership of int64 rows in a fixed set of lattice points.
+
+    Each point is keyed by its row-major offset in the set's bounding box,
+    so the keys of the sorted points are sorted and a query is a box test
+    and a binary search.  :class:`DomainError` when the keys would not fit
+    in int64.
+    """
+
+    def __init__(self, pts: Sequence[Point]):
+        pts = sorted(pts)
+        lo = [min(c) for c in zip(*pts)]
+        hi = [max(c) for c in zip(*pts)]
+        strides = [1] * len(lo)
+        for i in range(len(lo) - 2, -1, -1):
+            strides[i] = strides[i + 1] * (hi[i + 1] - lo[i + 1] + 1)
+        if strides[0] * (hi[0] - lo[0] + 1) > 2**62 or max(map(abs, lo + hi)) >= 2**63:
+            raise DomainError("coordinate range exceeded in vectorized lookup")
+        self.lo, self.hi, self.strides = lo, hi, strides
+        self.keys = np.array(
+            [sum((c - l) * s for c, l, s in zip(p, lo, strides)) for p in pts], dtype=np.int64
+        )
+
+    def find(self, rows: np.ndarray) -> tuple:
+        """``(i, pos)``: the indices of the ``rows`` that are in the set and
+        their positions among its sorted points.
+
+        The box test and the key fold over the ``d`` columns: numpy reduces
+        an axis this short at several times the cost of a column operation.
+        """
+        inside = np.ones(len(rows), dtype=bool)
+        for col, l, h in zip(rows.T, self.lo, self.hi):
+            inside &= (col >= l) & (col <= h)
+        inside = np.flatnonzero(inside)
+        cols = rows[inside].T
+        key = (cols[0] - self.lo[0]) * self.strides[0]
+        for col, l, s in zip(cols[1:], self.lo[1:], self.strides[1:]):
+            key += (col - l) * s
+        pos = np.minimum(np.searchsorted(self.keys, key), len(self.keys) - 1)
+        on = self.keys[pos] == key
+        return inside[on], pos[on]
 
 
 class TableWeight(Weight):

@@ -453,7 +453,7 @@ def test_finite_order_bounds_beyond_int64_use_neither_int64_nor_enumeration(monk
         raise AssertionError("int64 path or enumeration used")
 
     monkeypatch.setattr(domain, "_last_meeting_enumerated", fail)
-    monkeypatch.setattr(domain._RowIndex, "find", fail)
+    monkeypatch.setattr(domain, "_meets", fail)
     monkeypatch.setattr(AffineLatticeMap, "apply_many", fail)
     assert aperiodicity_bound(m, K, 10**3) == aperiodicity_bound(m, K, 10**12) == want == 1
 
@@ -546,7 +546,7 @@ def test_large_region_bounds_equal_exact_enumeration(maps, powers):
 )
 def test_bounds_near_2_62_equal_exact_enumeration(maps, powers, centre):
     # int64 holds these coordinates; the orbit runs in int64 wherever
-    # apply_many and _RowIndex accept its arithmetic, else falls back
+    # the orbit block guard accepts its arithmetic, else falls back
     K = Region.box([[centre - 3, centre + 3]])
     assert public_bound(maps, powers, K, 40) == enumerated_bound(maps, powers, K, 40)
 
@@ -629,40 +629,6 @@ def test_cat_map_table_is_built_once_and_stops_at_its_int64_edge(monkeypatch):
     for row in block:
         pts = m.apply_many(pts)
         assert row.tolist() == pts.tolist()
-
-
-def _find_by_row_reductions(index, rows):
-    """``_RowIndex.find`` with the box test and the key reduced along each
-    row, as they were written before the column fold."""
-    lo, hi, strides = (np.array(a, dtype=np.int64) for a in (index.lo, index.hi, index.strides))
-    inside = np.flatnonzero(((rows >= lo) & (rows <= hi)).all(axis=1))
-    key = (rows[inside] - lo) @ strides
-    pos = np.minimum(np.searchsorted(index.keys, key), len(index.keys) - 1)
-    on = index.keys[pos] == key
-    return inside[on], pos[on]
-
-
-@given(st.integers(1, 4), st.data())
-@settings(deadline=None, max_examples=150)
-def test_row_index_find_matches_row_reductions(d, data):
-    base = data.draw(st.tuples(*[st.integers(-(2**62), 2**62) | st.integers(-9, 9)] * d))
-    near = st.tuples(*[st.integers(-3, 3)] * d)
-    offsets = data.draw(st.lists(near, min_size=1, max_size=10))
-    pts = {tuple(b + o for b, o in zip(base, off)) for off in offsets}
-    index = domain._RowIndex(sorted(pts))
-    # rows in the set, near it (outside the box too) and anywhere in int64
-    anywhere = st.tuples(*[st.integers(-(2**63), 2**63 - 1)] * d)
-    queries = data.draw(st.lists(
-        st.sampled_from(sorted(pts))
-        | near.map(lambda off: tuple(b + 2 * o for b, o in zip(base, off)))
-        | anywhere,
-        min_size=1, max_size=20,
-    ))
-    queries = [q for q in queries if all(-(2**63) <= c < 2**63 for c in q)]
-    rows = np.array(queries, dtype=np.int64).reshape(-1, d)
-    got, want = index.find(rows), _find_by_row_reductions(index, rows)
-    assert got[0].tolist() == want[0].tolist() and got[1].tolist() == want[1].tolist()
-    assert [tuple(rows[i]) for i in got[0]] == [sorted(pts)[p] for p in got[1]]
 
 
 @pytest.mark.parametrize("c", [2**63 - 1, -(2**63)])
@@ -762,3 +728,93 @@ def test_power_table_learns_the_period_only_for_a_block_of_several_steps():
         block = domain._orbit_block(m, X, 30)
         assert m._table.period == period
         assert block.tolist() == _product_block(m, X, 30).tolist()
+
+
+# ---------------------------------------------------------------------------
+# One guard for every int64 step, one meeting test for every orbit bound
+
+
+@given(unimodular_linear_parts(), st.data())
+@settings(deadline=None, max_examples=200)
+def test_one_step_is_exact_or_raises_on_the_same_inputs_by_every_path(linear, data):
+    # apply_many, a one-step orbit block and a one-map stack share one guard:
+    # each returns the exact image, or raises, exactly where
+    # max|x| * row_l1 + max_off passes 2**62
+    d = len(linear)
+    big = st.integers(-(2**62), 2**62) | st.sampled_from([2**62 + 1, -(2**63)])
+    m = AffineLatticeMap(linear, data.draw(st.tuples(*[st.integers(-9, 9) | big] * d)))
+    row_l1 = max(sum(map(abs, row)) for row in m.linear)
+    max_off = max(map(abs, m.offset))
+    edge = max(0, (2**62 - max_off) // row_l1)
+    coord = st.integers(-9, 9) | st.sampled_from([edge, -edge, edge + 1, -edge - 1, -(2**63)])
+    rows = data.draw(st.lists(st.tuples(*[coord] * d), min_size=1, max_size=4))
+    rows = [r for r in rows if all(-(2**63) <= c < 2**63 for c in r)] or [(0,) * d]
+    X = np.array(rows, dtype=np.int64)
+    paths = {
+        "apply_many": lambda: m.apply_many(X),
+        "orbit block": lambda: domain._orbit_block(m, X, 1)[0],
+        "stack": lambda: domain._apply_stack(domain._map_stacks([m], d)[0], X)[0],
+    }
+    exact = [list(m.apply(r)) for r in rows]
+    fits = max(abs(c) for r in rows for c in r) * row_l1 + max_off <= 2**62
+    for name, step in paths.items():
+        try:
+            got = step().tolist()
+        except DomainError:
+            got = None
+        assert got == (exact if fits else None), name
+
+
+@st.composite
+def meeting_cases(draw):
+    """``(X, Y, Ys)``: ``T`` sets of ``k`` and of ``k'`` distinct rows in
+    1-4 D, near a base point whose coordinates are small or near +-2**62 so
+    that the sets often meet, and ``Ys`` one set of ``k'`` rows."""
+    T, k, k2, d = (draw(st.integers(1, 4)) for _ in range(4))
+    base = draw(st.tuples(*[st.sampled_from([0, 2**62 - 3, 3 - 2**62, -(2**63) + 2])] * d))
+    near = st.tuples(*[st.integers(-2, 2)] * d).map(lambda o: [b + c for b, c in zip(base, o)])
+
+    def sets(size):
+        return draw(st.lists(st.lists(near, min_size=size, max_size=size, unique_by=tuple),
+                             min_size=T, max_size=T))
+
+    X, Y = sets(k), sets(k2)
+    return (np.array(X, dtype=np.int64), np.array(Y, dtype=np.int64),
+            np.array(Y[0], dtype=np.int64))
+
+
+@given(meeting_cases())
+@settings(deadline=None, max_examples=300)
+def test_meets_matches_a_set_intersection(case):
+    X, Y, Ys = case
+
+    def want(Y):
+        return [bool(set(map(tuple, a.tolist())) & set(map(tuple, b.tolist()))) for a, b in zip(X, Y)]
+
+    assert domain._meets(X, Y).tolist() == want(Y)
+    broadcast = np.broadcast_to(Ys, (len(X), *Ys.shape))
+    assert domain._meets(X, broadcast).tolist() == want(broadcast)
+
+
+@pytest.mark.parametrize(
+    "linear, offset, points",
+    [
+        (((1, 1), (0, 1)), (0, 1), [(0, 0), (2**32, 2**32), (5, -3)]),
+        (((1, 1), (0, 1)), (0, 1), [(0, 0), (2**32, 2**32), (5, -3), (-1, 0)]),
+        (((1, 1, 0), (0, 1, 1), (0, 0, 1)), (0, 0, 1), [(0, 0, 0), (2**21, 2**21, 2**21), (5, -3, 2)]),
+        (((1, 1, 0), (0, 1, 1), (0, 0, 1)), (0, 0, 1),
+         [(0, 0, 0), (2**21, 2**21, 2**21), (5, -3, -2), (-3, -6, 0)]),
+    ],
+    ids=["2d", "2d-meeting", "3d", "3d-meeting"],
+)
+def test_shear_bound_of_a_widely_spread_K_walks_the_orbit(monkeypatch, linear, offset, points):
+    # K's spread overflows int64 keys of its bounding box, but not the orbit:
+    # the bound walks the int64 orbit and never enumerates
+    m, K = AffineLatticeMap(linear, offset), Region.of(points)
+    want = enumerated_bound([m], [1], K, 10**3)
+
+    def fail(*args):
+        raise AssertionError("enumeration used")
+
+    monkeypatch.setattr(domain, "_last_meeting_enumerated", fail)
+    assert aperiodicity_bound(m, K, 10**3) == aperiodicity_bound(m, K, 10**4) == want

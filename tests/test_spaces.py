@@ -10,6 +10,7 @@ from wcodyn.domain import AffineLatticeMap, DomainError, Region
 from wcodyn.operators import OperatorError, WeightedCompositionOperator
 from wcodyn.spaces import (
     _LOG_MAX,
+    _RowIndex,
     ConstantWeight,
     EllPNorm,
     ExpYoung,
@@ -312,6 +313,40 @@ def test_sparse_table_values_match_value_at():
     w = TableWeight(table, default=1.0)
     pts = np.array([(0, 0), (2**40, -(2**40)), (1, 1), (-(2**40), 3)], dtype=np.int64)
     assert w.values(pts).tolist() == [2.0, 0.5, 1.0, 1.5]
+
+
+def _find_by_row_reductions(index, rows):
+    """``_RowIndex.find`` with the box test and the key reduced along each
+    row, as they were written before the column fold."""
+    lo, hi, strides = (np.array(a, dtype=np.int64) for a in (index.lo, index.hi, index.strides))
+    inside = np.flatnonzero(((rows >= lo) & (rows <= hi)).all(axis=1))
+    key = (rows[inside] - lo) @ strides
+    pos = np.minimum(np.searchsorted(index.keys, key), len(index.keys) - 1)
+    on = index.keys[pos] == key
+    return inside[on], pos[on]
+
+
+@given(st.integers(1, 4), st.data())
+@settings(deadline=None, max_examples=150)
+def test_row_index_find_matches_row_reductions(d, data):
+    base = data.draw(st.tuples(*[st.integers(-(2**62), 2**62) | st.integers(-9, 9)] * d))
+    near = st.tuples(*[st.integers(-3, 3)] * d)
+    offsets = data.draw(st.lists(near, min_size=1, max_size=10))
+    pts = {tuple(b + o for b, o in zip(base, off)) for off in offsets}
+    index = _RowIndex(sorted(pts))
+    # rows in the set, near it (outside the box too) and anywhere in int64
+    anywhere = st.tuples(*[st.integers(-(2**63), 2**63 - 1)] * d)
+    queries = data.draw(st.lists(
+        st.sampled_from(sorted(pts))
+        | near.map(lambda off: tuple(b + 2 * o for b, o in zip(base, off)))
+        | anywhere,
+        min_size=1, max_size=20,
+    ))
+    queries = [q for q in queries if all(-(2**63) <= c < 2**63 for c in q)]
+    rows = np.array(queries, dtype=np.int64).reshape(-1, d)
+    got, want = index.find(rows), _find_by_row_reductions(index, rows)
+    assert got[0].tolist() == want[0].tolist() and got[1].tolist() == want[1].tolist()
+    assert [tuple(rows[i]) for i in got[0]] == [sorted(pts)[p] for p in got[1]]
 
 
 def test_scale_maps_lattice_to_real_coordinates():
@@ -957,3 +992,12 @@ def test_a_norm_beyond_the_float_range_raises_a_space_error(spec, vals):
     f = SampleFunction({(i,): v for i, v in enumerate(vals)})
     with pytest.raises(SpaceError, match="norm exceeds the float range"):
         spec.value(f)
+
+
+def test_an_exp_orlicz_norm_within_the_float_range_whose_bracket_is_not():
+    # hi = sum / ln 2 overflows, but the norm of two equal points is
+    # max / ln 1.5, within the float range
+    spec = OrliczNorm(ExpYoung())
+    got = spec.value(SampleFunction({(0,): 7e307, (1,): 7e307}))
+    assert got == pytest.approx(7e307 / math.log(1.5), rel=1e-15)
+    assert got == 7e307 * spec.value(SampleFunction({(0,): 1.0, (1,): 1.0}))
