@@ -355,10 +355,10 @@ class OrliczNorm:
         inv1 = self.young.inverse_at_one()
         lo = max(mags) / inv1  # modular(lo) >= Phi(max/lo) = 1
         hi = math.fsum(mags) / inv1  # modular(hi) <= Phi(sum/hi) = 1 by convexity
-        if hi == math.inf and lo < math.inf:  # the bracket, not the norm, overflows
-            raise OverflowError("orlicz bracket exceeds the float range")
         if modular(mags, lo) <= 1.0:
             return lo
+        if hi == math.inf:  # the bisection would end at inf; _rescaled decides the norm
+            raise OverflowError("orlicz bracket exceeds the float range")
         a, b = self.young.bracket(mags)
         for _ in range(200):
             mid = 0.5 * (lo + hi)
