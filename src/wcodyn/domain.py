@@ -62,12 +62,12 @@ _RANGE = 2**62  # the int64 products keep every coordinate within +-_RANGE
 
 def _reach(lin: np.ndarray, off: np.ndarray) -> np.ndarray:
     """The reach of each map of a stack given as ``(M, d, d)`` and ``(M, d)``
-    object arrays of Python ints: an int64 row of its largest row L1 norm and
+    object arrays of Python ints: a uint64 row of its largest row L1 norm and
     its largest ``|offset|``, for the leading maps up to the first whose
     reach passes ``_RANGE``, where no int64 product is taken."""
     sizes = np.stack([np.abs(lin).sum(axis=2).max(axis=1), np.abs(off).max(axis=1)], axis=1)
     out = np.flatnonzero((sizes > _RANGE).any(axis=1))
-    return sizes[: out[0] if out.size else len(sizes)].astype(np.int64)
+    return sizes[: out[0] if out.size else len(sizes)].astype(np.uint64)
 
 
 def _check_range(X: np.ndarray, row_l1, max_off) -> np.ndarray:
@@ -75,11 +75,12 @@ def _check_range(X: np.ndarray, row_l1, max_off) -> np.ndarray:
     ``|x| <= (_RANGE - max_off) // row_l1`` for every coordinate ``x`` of
     ``X``, the form of ``|x| * row_l1 + max_off <= _RANGE`` that int64 holds,
     for a map of :func:`_reach` ``row_l1, max_off``.  ``X`` is ``(k, d)``
-    rows, or a stack ``(..., k, d)`` of them with one reach per block;
-    returns the largest ``|x|`` of each block (uint64, so no wrap at
+    rows, or a stack ``(..., k, d)`` of them with one uint64 reach per
+    block; returns the largest ``|x|`` of each block (uint64, so no wrap at
     ``|INT64_MIN| = 2**63``)."""
     top = np.abs(X).view(np.uint64).max(axis=(-2, -1), initial=0)
-    if (top > np.asarray((_RANGE - max_off) // row_l1, dtype=np.uint64)).any():
+    over = top > (_RANGE - max_off) // row_l1
+    if over.any() if over.ndim else over:  # a numpy bool's any() costs an array
         raise DomainError("coordinate range exceeded in vectorized map application")
     return top
 
@@ -318,7 +319,7 @@ class _PowerTable:
         self.map, d = m, m.dimension
         self.lin = np.empty((0, d, d), dtype=np.int64)
         self.off = np.empty((0, d), dtype=np.int64)
-        self.reach = np.empty((0, 2), dtype=np.int64)
+        self.reach = np.empty((0, 2), dtype=np.uint64)
         self._keep(np.array([m.linear], dtype=object), np.array([m.offset], dtype=object))
 
     def _keep(self, lin: np.ndarray, off: np.ndarray):

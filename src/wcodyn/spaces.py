@@ -329,9 +329,10 @@ class OrliczNorm:
     and the result are those of evaluating at every step, bit for bit, and a
     power-Young norm of normal magnitudes takes 9-13 evaluations instead of
     52-57, the first at ``lo``, which settles a one-point support.  Only
-    where the magnitudes (or the bracket's upper end ``sum / Phi^-1(1)``)
-    sum past the float range is the gauge taken of the magnitudes divided
-    by the largest one and multiplied back (:func:`_rescaled`).
+    where the magnitudes (or, for a bisection, its upper end
+    ``sum / Phi^-1(1)``) pass the float range is the gauge taken of the
+    magnitudes divided by the largest one and multiplied back
+    (:func:`_rescaled`).
     """
 
     young: PowerYoung | ExpYoung = PowerYoung(2.0)
